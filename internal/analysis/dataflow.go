@@ -137,6 +137,9 @@ type valueFlow struct {
 type loopFrame struct {
 	breakEnv    absEnv
 	continueEnv absEnv
+	// breakOnly marks switch/select frames: break targets them, but an
+	// unlabeled continue resolves to the innermost enclosing loop.
+	breakOnly bool
 }
 
 // analyzeFuncBody runs the engine over one declared function.
@@ -1226,8 +1229,12 @@ func (f *valueFlow) execBranch(s *ast.BranchStmt, env absEnv) absEnv {
 		}
 	case token.CONTINUE:
 		if s.Label == nil {
-			fr := f.frames[len(f.frames)-1]
-			fr.continueEnv = joinEnv(fr.continueEnv, cloneEnv(env))
+			for i := len(f.frames) - 1; i >= 0; i-- {
+				if fr := f.frames[i]; !fr.breakOnly {
+					fr.continueEnv = joinEnv(fr.continueEnv, cloneEnv(env))
+					break
+				}
+			}
 		} else {
 			for _, fr := range f.frames {
 				fr.continueEnv = joinEnv(fr.continueEnv, cloneEnv(env))
@@ -1252,7 +1259,7 @@ func (f *valueFlow) execSwitch(s *ast.SwitchStmt, env absEnv) absEnv {
 		tagIdent = s.Tag
 	}
 	// switch gets an implicit breakable frame.
-	frame := &loopFrame{}
+	frame := &loopFrame{breakOnly: true}
 	f.frames = append(f.frames, frame)
 
 	residual := cloneEnv(env)
@@ -1289,14 +1296,21 @@ func (f *valueFlow) execSwitch(s *ast.SwitchStmt, env absEnv) absEnv {
 		}
 		caseEnv = joinEnv(caseEnv, fallEnv)
 		fallEnv = nil
+		// A trailing fallthrough hands the case's env to the next case,
+		// so the body runs without it (execBranch would end the flow).
+		body := cc.Body
+		falls := endsInFallthrough(body) && ci+1 < len(clauses)
+		if falls {
+			body = body[:len(body)-1]
+		}
 		out := caseEnv
-		for _, st := range cc.Body {
+		for _, st := range body {
 			out = f.execStmt(st, out)
 			if out == nil {
 				break
 			}
 		}
-		if endsInFallthrough(cc.Body) && ci+1 < len(clauses) {
+		if falls {
 			fallEnv = out
 			continue
 		}
@@ -1330,7 +1344,7 @@ func (f *valueFlow) execTypeSwitch(s *ast.TypeSwitchStmt, env absEnv) absEnv {
 	if env == nil {
 		return nil
 	}
-	frame := &loopFrame{}
+	frame := &loopFrame{breakOnly: true}
 	f.frames = append(f.frames, frame)
 	var exits absEnv
 	for _, c := range s.Body.List {
@@ -1355,7 +1369,7 @@ func (f *valueFlow) execTypeSwitch(s *ast.TypeSwitchStmt, env absEnv) absEnv {
 }
 
 func (f *valueFlow) execSelect(s *ast.SelectStmt, env absEnv) absEnv {
-	frame := &loopFrame{}
+	frame := &loopFrame{breakOnly: true}
 	f.frames = append(f.frames, frame)
 	var exits absEnv
 	for _, c := range s.Body.List {

@@ -105,3 +105,42 @@ func waived(a, b int16) int16 {
 func hostOnly(a, b int16) int16 {
 	return a * b
 }
+
+// accumulateWrap adds a constant per iteration with no bound: the
+// accumulator widens to +inf and the compound assignment reports.
+func accumulateWrap(n int) int16 {
+	var acc int16
+	for i := 0; i < n; i++ {
+		acc += 1000 // want "int16 addition may wrap"
+	}
+	return acc
+}
+
+// continueInSwitch reaches the loop head only through a continue inside
+// a switch case: the continue must resolve to the loop, not the switch,
+// so the widened accumulator still reports.
+func continueInSwitch(n int) int16 {
+	var acc int16
+	for i := 0; i < n; i++ {
+		switch {
+		case i%2 == 0:
+			acc += 1000 // want "int16 addition may wrap"
+			continue
+		}
+	}
+	return acc
+}
+
+// fallthroughWrap carries the first case's env into the second through
+// fallthrough: 30000 + 3000 wraps int16.
+func fallthroughWrap(n int) int16 {
+	var acc int16
+	switch {
+	case n > 0:
+		acc = 30000
+		fallthrough
+	case n < 100:
+		acc += 3000 // want "int16 addition may wrap"
+	}
+	return acc
+}
