@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build test race chaos fuzz-smoke replay-smoke triage-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench perf perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke
+check: vet lint vet-baseline-empty stack-budget build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -83,6 +83,12 @@ triage-smoke:
 	rm -f traces-smoke.jsonl
 	$(GO) run ./cmd/csecg-bench -exp chaos -short -spans traces-smoke.jsonl
 	$(GO) run ./cmd/csecg-triage traces-smoke.jsonl
+
+# trace-smoke renders the transport experiment's span trees as a Chrome
+# trace plus a metrics dump; csecg-bench fails if any session lost a
+# tree to the retention cap (DESIGN.md §9).
+trace-smoke:
+	$(GO) run ./cmd/csecg-bench -exp transport -seconds 6 -trace trace-smoke.json -metrics metrics-smoke.prom
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

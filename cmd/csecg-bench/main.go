@@ -11,9 +11,9 @@
 //
 // Observability:
 //
-//	csecg-bench -exp transport -trace out.json    # Chrome trace of every window
+//	csecg-bench -exp transport -trace out.json    # Chrome trace of every window's span tree
+//	csecg-bench -exp transport -spans traces.jsonl # the same trees as trace JSONL (csecg-triage input)
 //	csecg-bench -exp cpu -metrics metrics.prom    # Prometheus text dump
-//	csecg-bench -exp cpu -events events.jsonl     # JSONL event log
 //	csecg-bench -exp all -pprof cpu.pprof         # CPU+mutex+block profiles
 //
 // Performance tracking:
@@ -76,15 +76,14 @@ func run() int {
 		records     = flag.String("records", "", "comma-separated record IDs (overrides the default subset)")
 		format      = flag.String("format", "table", "output format: table or csv")
 		metricsFile = flag.String("metrics", "", "write a Prometheus text metrics dump to this file ('-' for stdout)")
-		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of every window lifecycle to this file")
-		eventsFile  = flag.String("events", "", "write the trace as a JSONL event log to this file")
+		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of every window's causal span tree to this file")
 		pprofFile   = flag.String("pprof", "", "write Go CPU/mutex/block profiles of the run to this file (+.mutex/.block)")
 		jsonFile    = flag.String("json", "", "run the perf suite and write the machine-readable summary to this file ('-' for stdout)")
 		compareFile = flag.String("compare", "", "run the perf suite and fail on normalized regressions against this baseline summary")
 		tolerance   = flag.Float64("tolerance", bench.DefaultTolerance, "allowed normalized-time growth before -compare fails")
 		short       = flag.Bool("short", false, "shrink long-running experiments (chaos) to CI-smoke size")
 		recordDir   = flag.String("record-dir", "", "attach a black-box flight recorder to chaos scenarios and seal diagnostics bundles into this directory")
-		spansFile   = flag.String("spans", "", "capture causal span trees during chaos scenarios and write them as trace JSONL to this file ('-' for stdout; csecg-triage input)")
+		spansFile   = flag.String("spans", "", "write every window's causal span tree as trace JSONL to this file ('-' for stdout; csecg-triage input)")
 	)
 	flag.Parse()
 	if *format != "table" && *format != "csv" {
@@ -102,10 +101,8 @@ func run() int {
 	if *metricsFile != "" {
 		opt.Metrics = csecg.NewMetrics()
 	}
-	var tracer *csecg.Tracer
-	if *traceFile != "" || *eventsFile != "" {
-		tracer = csecg.NewTracer(nil)
-		opt.Trace = tracer
+	if *traceFile != "" || *spansFile != "" {
+		opt.Trace = experiments.NewTraces()
 	}
 	if *pprofFile != "" {
 		p, err := prof.Start(*pprofFile)
@@ -277,7 +274,7 @@ func run() int {
 			return r.Table(), nil
 		}},
 		{"chaos", func() (*experiments.Table, error) {
-			r, err := experiments.ChaosTraced(*short, *recordDir, *spansFile != "")
+			r, err := experiments.ChaosTraced(*short, *recordDir, opt.Trace)
 			if err != nil {
 				return nil, err
 			}
@@ -286,23 +283,6 @@ func run() int {
 					for _, b := range row.Bundles {
 						fmt.Printf("chaos %s: sealed %s\n", row.Report.Scenario, b)
 					}
-				}
-			}
-			if *spansFile != "" {
-				out := os.Stdout
-				if *spansFile != "-" {
-					f, err := os.Create(*spansFile)
-					if err != nil {
-						return nil, err
-					}
-					defer f.Close() //csecg:errok WriteTraces reports the write error
-					out = f
-				}
-				if err := r.WriteTraces(out); err != nil {
-					return nil, err
-				}
-				if *spansFile != "-" {
-					fmt.Printf("chaos: wrote %d span trees to %s\n", len(r.Traces), *spansFile)
 				}
 			}
 			if fails := r.Failures(); len(fails) > 0 {
@@ -357,15 +337,27 @@ func run() int {
 			return csecg.WriteMetrics(w, opt.Metrics)
 		})
 	}
-	if tracer != nil && *traceFile != "" {
-		writeFile("trace", *traceFile, func(w *os.File) error {
-			return csecg.WriteChromeTrace(w, tracer)
-		})
-	}
-	if tracer != nil && *eventsFile != "" {
-		writeFile("events", *eventsFile, func(w *os.File) error {
-			return csecg.WriteTraceJSONL(w, tracer)
-		})
+	if opt.Trace != nil {
+		// A capture that lost trees to the retention cap would write a
+		// trace silently missing windows.
+		if err := opt.Trace.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "csecg-bench: trace: %v\n", err)
+			return 1
+		}
+		recs := opt.Trace.Records()
+		if *traceFile != "" {
+			writeFile("trace", *traceFile, func(w *os.File) error {
+				return csecg.WriteChromeTrace(w, recs)
+			})
+		}
+		if *spansFile != "" {
+			writeFile("spans", *spansFile, func(w *os.File) error {
+				return csecg.WriteSpanTraceJSONL(w, recs)
+			})
+			if *spansFile != "-" {
+				fmt.Printf("wrote %d span trees to %s\n", len(recs), *spansFile)
+			}
+		}
 	}
 	return exit
 }

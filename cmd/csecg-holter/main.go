@@ -30,8 +30,7 @@ func main() {
 		cr          = flag.Float64("cr", 50, "CS compression ratio")
 		seed        = flag.Uint("seed", 0x601, "sensing-matrix seed")
 		metricsFile = flag.String("metrics", "", "write a Prometheus text metrics dump to this file ('-' for stdout)")
-		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of the analysis to this file")
-		eventsFile  = flag.String("events", "", "write the trace as a JSONL event log to this file")
+		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of every window's wall-clock encode/decode to this file")
 		pprofFile   = flag.String("pprof", "", "write a Go CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -51,16 +50,6 @@ func main() {
 	if *metricsFile != "" {
 		reg = csecg.NewMetrics()
 	}
-	var tr *csecg.Tracer
-	var pidEnc, pidDec int64
-	if *traceFile != "" || *eventsFile != "" {
-		tr = csecg.NewTracer(nil)
-		s := tr.NewSession("holter record " + *record)
-		pidEnc, pidDec = s.Mote, s.Coordinator
-		tr.ThreadName(pidEnc, 1, "encode")
-		tr.ThreadName(pidDec, 1, "decode")
-	}
-
 	rec, err := csecg.RecordByID(*record)
 	if err != nil {
 		fail(err)
@@ -78,36 +67,44 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// -trace records each window as a span tree of two host wall-clock
+	// leaves, encode then decode, on the session's coordinator track.
+	var spans *csecg.SpanTracer
+	if *traceFile != "" {
+		spans = csecg.NewSpanTracer(csecg.SpanTracerConfig{
+			Label:           "holter record " + *record,
+			RetainAll:       true,
+			RetainAnomalous: len(adc)/csecg.WindowSize + 1,
+		})
+	}
+	runStart := time.Now()
 	var orig, recon []float64
 	for o := 0; o+csecg.WindowSize <= len(adc); o += csecg.WindowSize {
 		win := adc[o : o+csecg.WindowSize]
-		var encEnd, decEnd func(args ...csecg.TraceArg)
 		encStart := time.Now()
-		if tr != nil {
-			encEnd = tr.Begin(pidEnc, 1, "encode", "holter")
-		}
 		pkt, err := enc.EncodeWindow(win)
 		if err != nil {
 			fail(err)
 		}
-		if encEnd != nil {
-			encEnd(csecg.TraceI("seq", int64(pkt.Seq)), csecg.TraceI("bytes", int64(pkt.WireSize())))
-		}
 		decStart := time.Now()
-		if tr != nil {
-			decEnd = tr.Begin(pidDec, 1, "decode", "holter")
-		}
 		out, err := dec.DecodePacket(pkt)
 		if err != nil {
 			fail(err)
 		}
-		if decEnd != nil {
-			decEnd(csecg.TraceI("seq", int64(pkt.Seq)), csecg.TraceI("iterations", int64(out.Iterations)))
+		decEnd := time.Now()
+		if spans != nil {
+			at := encStart.Sub(runStart).Nanoseconds()
+			encNs := decStart.Sub(encStart).Nanoseconds()
+			wt := spans.Begin(pkt.Seq)
+			wt.Root(at)
+			wt.Leaf("encode", at, encNs)
+			wt.SolverLeaf("decode", at+encNs, decEnd.Sub(decStart).Nanoseconds(), 0)
+			spans.Finish(wt, 0, decEnd.Sub(encStart).Nanoseconds())
 		}
 		if reg != nil {
 			reg.Counter("holter_windows_total").Inc()
 			reg.Histogram("holter_encode_wall_ns").Observe(decStart.Sub(encStart).Nanoseconds())
-			reg.Histogram("holter_decode_wall_ns").Observe(time.Since(decStart).Nanoseconds())
+			reg.Histogram("holter_decode_wall_ns").Observe(decEnd.Sub(decStart).Nanoseconds())
 			reg.Histogram("holter_iterations").Observe(int64(out.Iterations))
 		}
 		for i := range win {
@@ -182,11 +179,8 @@ func main() {
 	if reg != nil {
 		writeOut(*metricsFile, func(f *os.File) error { return csecg.WriteMetrics(f, reg) })
 	}
-	if tr != nil && *traceFile != "" {
-		writeOut(*traceFile, func(f *os.File) error { return csecg.WriteChromeTrace(f, tr) })
-	}
-	if tr != nil && *eventsFile != "" {
-		writeOut(*eventsFile, func(f *os.File) error { return csecg.WriteTraceJSONL(f, tr) })
+	if spans != nil {
+		writeOut(*traceFile, func(f *os.File) error { return csecg.WriteChromeTrace(f, spans.Records()) })
 	}
 }
 

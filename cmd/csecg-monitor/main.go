@@ -157,8 +157,10 @@ func main() {
 	wg.Wait()
 	if *spansOut != "" {
 		var recs []csecg.SpanTraceRecord
+		var dropped int64
 		for _, t := range tracers {
 			recs = append(recs, t.Records()...)
+			dropped += t.RetainDropped()
 		}
 		f, err := os.Create(*spansOut)
 		if err != nil {
@@ -170,7 +172,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
-		fmt.Printf("wrote %d retained span trees to %s\n", len(recs), *spansOut)
+		fmt.Printf("wrote %d retained span trees to %s (%d dropped past the retention cap)\n", len(recs), *spansOut, dropped)
 	}
 	if !*once {
 		fmt.Println("all sessions finished; serving final state (ctrl-c to exit)")

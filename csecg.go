@@ -213,20 +213,12 @@ func DefaultLinkConfig() LinkConfig { return link.DefaultConfig() }
 // DefaultEnergyBudget returns Shimmer-class battery constants.
 func DefaultEnergyBudget() EnergyBudget { return energy.DefaultBudget() }
 
-// Observability: zero-alloc integer counters and histograms, the
-// window-lifecycle tracer, and the three export formats (Prometheus
-// text, JSONL event log, Chrome trace_event JSON).
+// Observability: zero-alloc integer counters and histograms and their
+// Prometheus text export. Tracing is the causal span trees below.
 type (
 	// Metrics is a registry of integer-only counters, gauges and
 	// log-bucketed histograms; recording is lock- and allocation-free.
 	Metrics = telemetry.Registry
-	// Tracer collects window-lifecycle trace events.
-	Tracer = telemetry.Tracer
-	// TraceEvent is one trace record (span, instant, counter or
-	// metadata).
-	TraceEvent = telemetry.Event
-	// TraceArg is one key/value annotation on a trace event.
-	TraceArg = telemetry.Arg
 	// TelemetrySummary condenses a histogram: count, sum, max and the
 	// interpolated p50/p95/p99.
 	TelemetrySummary = telemetry.Summary
@@ -240,37 +232,11 @@ type (
 // NewMetrics builds an empty telemetry registry.
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
-// NewTracer builds a tracer on the given clock (nil → wall clock).
-func NewTracer(c Clock) *Tracer { return telemetry.NewTracer(c) }
-
 // NewManualClock returns a manual clock starting at the given tick.
 func NewManualClock(start int64) *ManualClock { return telemetry.NewManualClock(start) }
 
-// TraceI builds an integer trace-event argument.
-func TraceI(key string, v int64) TraceArg { return telemetry.I(key, v) }
-
-// TraceS builds a string trace-event argument.
-func TraceS(key, v string) TraceArg { return telemetry.S(key, v) }
-
-// TraceF builds a float trace-event argument (host-side only).
-func TraceF(key string, v float64) TraceArg { return telemetry.F(key, v) }
-
 // WriteMetrics dumps a registry in the Prometheus text format.
 func WriteMetrics(w io.Writer, m *Metrics) error { return telemetry.WritePrometheus(w, m) }
-
-// WriteChromeTrace renders a tracer's events as Chrome trace_event JSON,
-// loadable in chrome://tracing or Perfetto.
-func WriteChromeTrace(w io.Writer, t *Tracer) error {
-	return telemetry.WriteChromeTrace(w, t.Events())
-}
-
-// WriteTraceJSONL streams a tracer's events as one JSON object per line.
-func WriteTraceJSONL(w io.Writer, t *Tracer) error {
-	return telemetry.WriteJSONL(w, t.Events())
-}
-
-// ReadTraceJSONL parses an event log written by WriteTraceJSONL.
-func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return telemetry.ReadJSONL(r) }
 
 // PipelineStages lists the per-window lifecycle stage names in pipeline
 // order (sample … reconstruct), the keys of StreamReport.Stages.
@@ -303,6 +269,14 @@ func WriteSpanTraceJSONL(w io.Writer, recs []SpanTraceRecord) error {
 // ReadSpanTraceJSONL parses a span-tree JSONL stream.
 func ReadSpanTraceJSONL(r io.Reader) ([]SpanTraceRecord, error) {
 	return telemetry.ReadTraceRecords(r)
+}
+
+// WriteChromeTrace renders span-tree records as Chrome trace_event
+// JSON, loadable in chrome://tracing or Perfetto: per-session mote,
+// link and coordinator tracks, a flow arrow per window, and the solver
+// counter tracks of RetainAll captures.
+func WriteChromeTrace(w io.Writer, recs []SpanTraceRecord) error {
+	return telemetry.WriteChromeTrace(w, recs)
 }
 
 // Incident forensics: the black-box flight recorder, its sealed

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"csecg/internal/blackbox"
 	"csecg/internal/chaos"
-	"csecg/internal/telemetry"
 )
 
 // ChaosRow is one scenario's survival outcome.
@@ -28,9 +26,6 @@ type ChaosRow struct {
 type ChaosResult struct {
 	Short bool
 	Rows  []ChaosRow
-	// Traces holds every scenario's retained causal span trees (only
-	// when tracing was requested) — csecg-triage's input.
-	Traces []telemetry.TraceRecord
 }
 
 // Failures lists the scenarios that broke the survival contract.
@@ -49,36 +44,23 @@ func (r *ChaosResult) Failures() []string {
 // the kitchen sink — and judges each run on the contract: zero escaped
 // panics, bounded queue, p99 decode within the packet period, health
 // back to decoding. Short mode shrinks the sessions for CI smoke.
-func Chaos(short bool) (*ChaosResult, error) { return ChaosRecorded(short, "") }
+func Chaos(short bool) (*ChaosResult, error) { return ChaosTraced(short, "", nil) }
 
-// ChaosRecorded is Chaos with the black-box flight recorder attached:
-// when recordDir is non-empty every scenario records its session, a
-// contract violation seals a diagnostics bundle naming the breach, and
-// scenarios that triggered nothing seal one end-of-run bundle anyway —
-// so a chaos run always leaves replayable evidence behind.
-func ChaosRecorded(short bool, recordDir string) (*ChaosResult, error) {
-	return ChaosTraced(short, recordDir, false)
-}
-
-// ChaosTraced is ChaosRecorded with causal span tracing: every scenario
-// runs with a CausalTracer retaining all finished trees, and the
-// result carries the combined trace records for csecg-triage — the
-// pipeline behind `make triage-smoke`.
-func ChaosTraced(short bool, recordDir string, traced bool) (*ChaosResult, error) {
+// ChaosTraced is Chaos with optional forensics. When recordDir is
+// non-empty every scenario records its session with the black-box
+// flight recorder, a contract violation seals a diagnostics bundle
+// naming the breach, and scenarios that triggered nothing seal one
+// end-of-run bundle anyway — so a chaos run always leaves replayable
+// evidence behind. When traces is non-nil every scenario's span trees
+// are collected into it — csecg-triage's input behind
+// `make triage-smoke`.
+func ChaosTraced(short bool, recordDir string, traces *Traces) (*ChaosResult, error) {
 	res := &ChaosResult{Short: short}
 	for _, sc := range chaos.Matrix(short) {
 		if recordDir != "" {
 			sc.Record = &blackbox.Config{Sink: blackbox.DirSink(recordDir)}
 		}
-		var spans *telemetry.CausalTracer
-		if traced {
-			spans = telemetry.NewCausalTracer(telemetry.CausalConfig{
-				Label:           "chaos " + sc.Name,
-				RetainAnomalous: 512,
-				RetainAll:       true,
-			})
-			sc.Spans = spans
-		}
+		sc.Spans = traces.Session("chaos " + sc.Name)
 		rep, err := chaos.Run(sc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos scenario %s: %w", sc.Name, err)
@@ -105,17 +87,9 @@ func ChaosTraced(short bool, recordDir string, traced bool) (*ChaosResult, error
 				return nil, fmt.Errorf("experiments: chaos scenario %s: sealing bundle: %w", sc.Name, err)
 			}
 		}
-		if spans != nil {
-			res.Traces = append(res.Traces, spans.Records()...)
-		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// WriteTraces writes the run's combined span trees as trace JSONL.
-func (r *ChaosResult) WriteTraces(w io.Writer) error {
-	return telemetry.WriteTraceRecords(w, r.Traces)
 }
 
 // Table renders the matrix.

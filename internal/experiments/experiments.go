@@ -15,6 +15,7 @@ import (
 
 	"csecg"
 	"csecg/internal/ecg"
+	"csecg/internal/telemetry"
 )
 
 // Table is a rendered experiment result.
@@ -101,10 +102,60 @@ type Options struct {
 	// Metrics, when non-nil, attaches every streaming session the
 	// experiment runs to the registry (csecg-bench -metrics).
 	Metrics *csecg.Metrics
-	// Trace, when non-nil, records window-lifecycle spans for every
-	// streaming session (csecg-bench -trace/-events); each session gets
-	// its own labeled track group.
-	Trace *csecg.Tracer
+	// Trace, when non-nil, collects the causal span trees of every
+	// window of every streaming session (csecg-bench -trace/-spans);
+	// each session gets its own labeled tracer.
+	Trace *Traces
+}
+
+// Traces collects every window's span tree across the streaming
+// sessions of a run. Each session gets a RetainAll tracer labeled after
+// it, so its trace IDs and Chrome tracks stay distinct.
+type Traces struct {
+	retain  int // trees kept per session
+	tracers []*telemetry.CausalTracer
+}
+
+// NewTraces builds a collector keeping up to 512 trees per session —
+// the longest chaos scenario and every default-length experiment
+// session fit.
+func NewTraces() *Traces { return &Traces{retain: 512} }
+
+// Session returns a new tracer for one labeled session, or nil when t
+// is nil (tracing off).
+func (t *Traces) Session(label string) *telemetry.CausalTracer {
+	if t == nil {
+		return nil
+	}
+	c := telemetry.NewCausalTracer(telemetry.CausalConfig{
+		Label:           label,
+		RetainAnomalous: t.retain,
+		RetainAll:       true,
+	})
+	t.tracers = append(t.tracers, c)
+	return c
+}
+
+// Records returns every session's retained trees in session order.
+func (t *Traces) Records() []telemetry.TraceRecord {
+	var out []telemetry.TraceRecord
+	for _, c := range t.tracers {
+		out = append(out, c.Records()...)
+	}
+	return out
+}
+
+// Err reports trees lost to the per-session retention cap: the
+// collected trace would silently miss those windows.
+func (t *Traces) Err() error {
+	var dropped int64
+	for _, c := range t.tracers {
+		dropped += c.RetainDropped()
+	}
+	if dropped > 0 {
+		return fmt.Errorf("experiments: %d span trees dropped past the cap of %d per session; shorten the run", dropped, t.retain)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {

@@ -585,3 +585,26 @@ func TestChaosShape(t *testing.T) {
 		}
 	}
 }
+
+// TestTracesReportDroppedTrees pins the retention-cap guard behind
+// csecg-bench -trace/-spans: a capture that outgrows its per-session
+// cap must report the loss rather than yield a silently incomplete
+// trace.
+func TestTracesReportDroppedTrees(t *testing.T) {
+	opt := Options{Records: []string{"100"}, SecondsPerRecord: 4} // CPU streams 8 s: 4 windows
+	for _, tc := range []struct {
+		retain, kept int
+		dropped      bool
+	}{{retain: 2, kept: 2, dropped: true}, {retain: 8, kept: 4}} {
+		opt.Trace = &Traces{retain: tc.retain}
+		if _, err := CPU(opt); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(opt.Trace.Records()); got != tc.kept {
+			t.Errorf("cap %d: %d trees kept, want %d", tc.retain, got, tc.kept)
+		}
+		if err := opt.Trace.Err(); (err != nil) != tc.dropped {
+			t.Errorf("cap %d: Err() = %v, want dropped=%v", tc.retain, err, tc.dropped)
+		}
+	}
+}

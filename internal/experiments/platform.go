@@ -37,13 +37,12 @@ func Encoder(opt Options) (*EncoderResult, error) {
 			return nil, err
 		}
 		rep, err := csecg.RunStream(csecg.StreamConfig{
-			RecordID:   opt.Records[0],
-			Seconds:    opt.SecondsPerRecord,
-			Params:     p,
-			Mode:       coordinator.NEON,
-			Metrics:    opt.Metrics,
-			Trace:      opt.Trace,
-			TraceLabel: fmt.Sprintf("encoder d=%d", d),
+			RecordID: opt.Records[0],
+			Seconds:  opt.SecondsPerRecord,
+			Params:   p,
+			Mode:     coordinator.NEON,
+			Metrics:  opt.Metrics,
+			Spans:    opt.Trace.Session(fmt.Sprintf("encoder d=%d", d)),
 		})
 		if err != nil {
 			return nil, err
@@ -166,13 +165,12 @@ type CPUResult struct {
 func CPU(opt Options) (*CPUResult, error) {
 	opt = opt.withDefaults()
 	rep, err := csecg.RunStream(csecg.StreamConfig{
-		RecordID:   opt.Records[0],
-		Seconds:    opt.SecondsPerRecord * 2,
-		Params:     core.Params{Seed: 0xC0, M: metrics.MForCR(50, core.WindowSize)},
-		Mode:       coordinator.NEON,
-		Metrics:    opt.Metrics,
-		Trace:      opt.Trace,
-		TraceLabel: "cpu",
+		RecordID: opt.Records[0],
+		Seconds:  opt.SecondsPerRecord * 2,
+		Params:   core.Params{Seed: 0xC0, M: metrics.MForCR(50, core.WindowSize)},
+		Mode:     coordinator.NEON,
+		Metrics:  opt.Metrics,
+		Spans:    opt.Trace.Session("cpu"),
 	})
 	if err != nil {
 		return nil, err
@@ -221,13 +219,12 @@ func Lifetime(opt Options) (*LifetimeResult, error) {
 	res := &LifetimeResult{}
 	for _, cr := range []float64{30, 40, 50, 60, 70} {
 		rep, err := csecg.RunStream(csecg.StreamConfig{
-			RecordID:   opt.Records[0],
-			Seconds:    opt.SecondsPerRecord * 2,
-			Params:     core.Params{Seed: 0x1F, M: metrics.MForCR(cr, core.WindowSize)},
-			Mode:       coordinator.NEON,
-			Metrics:    opt.Metrics,
-			Trace:      opt.Trace,
-			TraceLabel: fmt.Sprintf("lifetime CR=%.0f", cr),
+			RecordID: opt.Records[0],
+			Seconds:  opt.SecondsPerRecord * 2,
+			Params:   core.Params{Seed: 0x1F, M: metrics.MForCR(cr, core.WindowSize)},
+			Mode:     coordinator.NEON,
+			Metrics:  opt.Metrics,
+			Spans:    opt.Trace.Session(fmt.Sprintf("lifetime CR=%.0f", cr)),
 		})
 		if err != nil {
 			return nil, err

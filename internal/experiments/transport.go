@@ -78,8 +78,7 @@ func Transport(opt Options) (*TransportResult, error) {
 				mode = "nack"
 			}
 			cfg.Metrics = opt.Metrics
-			cfg.Trace = opt.Trace
-			cfg.TraceLabel = fmt.Sprintf("transport %s, %.1f%% loss", mode, b.StationaryLoss()*100)
+			cfg.Spans = opt.Trace.Session(fmt.Sprintf("transport %s, %.1f%% loss", mode, b.StationaryLoss()*100))
 			rep, err := csecg.RunStream(cfg)
 			if err != nil {
 				return nil, err

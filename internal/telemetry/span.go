@@ -180,6 +180,19 @@ func TraceIDString(id uint64) string {
 	return fmt.Sprintf("%016x", id)
 }
 
+// MaxIterPoints bounds the downsampled solver iterations one window
+// trace carries for the Chrome counter tracks.
+const MaxIterPoints = 64
+
+// IterPoint is one downsampled solver iteration, placed on the modeled
+// timeline inside the solver span.
+type IterPoint struct {
+	AtNs      int64   `json:"at_ns"`
+	Objective float64 `json:"objective"`
+	Residual  float64 `json:"residual"`
+	Step      float64 `json:"step"`
+}
+
 // MaxSpans bounds one window's span tree. A window that exhausts the
 // budget (deep retransmit ladders) keeps its earliest spans and counts
 // the overflow in Dropped — the tree stays honest about truncation.
@@ -218,6 +231,8 @@ type WindowTrace struct {
 	nspans   int
 	frontier int64
 	spans    [MaxSpans]Span
+	niter    int
+	iter     [MaxIterPoints]IterPoint
 }
 
 // add appends one span, enforcing the fixed capacity.
@@ -245,6 +260,7 @@ func (w *WindowTrace) add(s Span) int {
 //csecg:hotpath
 func (w *WindowTrace) Root(startNs int64) {
 	w.nspans = 0
+	w.niter = 0
 	w.Dropped = 0
 	w.frontier = startNs
 	w.add(Span{Stage: StageWindow, Parent: -1, StartNs: startNs, Rung: -1})
@@ -280,6 +296,17 @@ func (w *WindowTrace) Child(parent int, stage string, startNs, durNs int64) int 
 		return -1
 	}
 	return w.add(Span{Stage: stage, Parent: parent, StartNs: startNs, DurNs: durNs, Rung: -1})
+}
+
+// Iteration records one downsampled solver iteration; points past
+// MaxIterPoints are ignored.
+//
+//csecg:hotpath
+func (w *WindowTrace) Iteration(p IterPoint) {
+	if w.niter < MaxIterPoints {
+		w.iter[w.niter] = p
+		w.niter++
+	}
 }
 
 // Mark sets anomaly flags on the trace.
@@ -408,6 +435,10 @@ func NewCausalTracer(cfg CausalConfig) *CausalTracer {
 	return c
 }
 
+// RetainsAll reports whether every finished tree is kept (the mode
+// that also turns on the solver's per-iteration counter points).
+func (c *CausalTracer) RetainsAll() bool { return c.retainAll }
+
 // Label returns the session label the seed derives from.
 func (c *CausalTracer) Label() string { return c.label }
 
@@ -434,6 +465,7 @@ func (c *CausalTracer) Begin(seq uint32) *WindowTrace {
 	w.Dropped = 0
 	w.used = true
 	w.nspans = 0
+	w.niter = 0
 	w.frontier = 0
 	return w
 }
@@ -530,7 +562,7 @@ func (c *CausalTracer) offerTopK(w *WindowTrace) {
 // Finished counts closed traces (retained or not).
 func (c *CausalTracer) Finished() int64 { return c.finished }
 
-// RetainDropped counts anomalous trees lost to the retention cap.
+// RetainDropped counts trees lost to the retention cap.
 func (c *CausalTracer) RetainDropped() int64 { return c.retainDropped }
 
 // Retained returns the tail-sampled trees — anomalous retentions merged
@@ -583,6 +615,9 @@ type TraceRecord struct {
 	Flags        []string     `json:"flags,omitempty"`
 	DroppedSpans int          `json:"dropped_spans,omitempty"`
 	Spans        []SpanRecord `json:"spans"`
+	// Iter holds the downsampled solver iterations behind the Chrome
+	// counter tracks (RetainAll captures only).
+	Iter []IterPoint `json:"iter,omitempty"`
 }
 
 // Record converts the trace for JSONL export.
@@ -595,6 +630,9 @@ func (w *WindowTrace) Record(session string) TraceRecord {
 		LatencyNs:    w.LatencyNs,
 		DroppedSpans: w.Dropped,
 		Spans:        make([]SpanRecord, 0, w.nspans),
+	}
+	if w.niter > 0 {
+		r.Iter = append([]IterPoint(nil), w.iter[:w.niter]...)
 	}
 	for _, f := range flagNames {
 		if w.Flags&f.bit != 0 {

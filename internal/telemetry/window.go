@@ -1,8 +1,8 @@
 package telemetry
 
-// Pipeline stage names of the window-lifecycle trace. Every 2-second
-// window flows through these spans in order; the loss/NACK/retransmit
-// events appear only when the channel misbehaves.
+// Pipeline stage names of the window lifecycle. Every 2-second window
+// flows through these stages in order; the causal span trees of span.go
+// reuse the names for their depth-1 leaves.
 const (
 	// StageSample is the 2-second ADC acquisition of the window.
 	StageSample = "sample"
@@ -27,16 +27,6 @@ const (
 	// StageReconstruct is the inverse transform and requantization that
 	// hands samples to the display.
 	StageReconstruct = "reconstruct"
-
-	// EventLoss marks a frame the channel destroyed.
-	EventLoss = "loss"
-	// EventNack marks a NACK sent on the control uplink.
-	EventNack = "nack"
-	// EventKeyRequest marks a key-frame request on the control uplink.
-	EventKeyRequest = "key-request"
-	// EventRetransmit marks a retransmission served from the mote's
-	// ring.
-	EventRetransmit = "retransmit"
 )
 
 // Stages lists the per-window lifecycle stages in pipeline order.
@@ -46,6 +36,3 @@ func Stages() []string {
 		StageRX, StageReassemble, StageFISTA, StageReconstruct,
 	}
 }
-
-// CatWindow is the trace category of window-lifecycle spans.
-const CatWindow = "window"

@@ -51,14 +51,6 @@ type StreamConfig struct {
 	// When nil, a private registry is kept so the report's distribution
 	// summaries are populated either way.
 	Metrics *telemetry.Registry
-	// Trace, when non-nil, records the window-lifecycle spans of every
-	// window on the session's modeled timeline — sample → cs-sample →
-	// diff → huffman → tx → rx → reassemble → fista → reconstruct, plus
-	// loss/NACK/retransmit events and the solver's per-iteration
-	// counter tracks.
-	Trace *telemetry.Tracer
-	// TraceLabel names the session's trace tracks (default the record).
-	TraceLabel string
 	// Spans, when non-nil, captures every window's hierarchical causal
 	// span tree on the modeled timeline: trace-ID-stamped spans from
 	// acquisition end through encode, transmit, per-retransmit attempts,
@@ -67,7 +59,10 @@ type StreamConfig struct {
 	// the end-to-end decode latency exactly. The tracer tail-samples
 	// anomalous windows, feeds the csecg_window_stage_seconds exemplar
 	// histograms, and seeds the receiver/flight recorder with the same
-	// trace IDs (DESIGN.md §14).
+	// trace IDs (DESIGN.md §14). A RetainAll tracer also turns on the
+	// solver's per-iteration trace and keeps up to
+	// telemetry.MaxIterPoints downsampled iterations per window — the
+	// Chrome trace's counter tracks (telemetry.WriteChromeTrace).
 	Spans *telemetry.CausalTracer
 	// Clock times the host-side solve for the wall-time histogram
 	// (nil → telemetry.WallClock; inject a ManualClock in tests).
@@ -159,34 +154,6 @@ type StreamReport struct {
 	BundlesWritten int
 }
 
-// Trace thread (track) IDs within a session's three processes.
-const (
-	tidAcquire = 1 // mote: ADC acquisition
-	tidEncode  = 2 // mote: CS measurement, diff, entropy stages
-	tidAir     = 1 // link: radio airtime and channel events
-	tidRX      = 1 // coordinator: frame arrival and control traffic
-	tidBuffer  = 2 // coordinator: reorder-buffer hold
-	tidDecode  = 3 // coordinator: FISTA solve and reconstruction
-)
-
-// traceIterations emits a downsampled counter track of the solver's
-// per-iteration telemetry, spread evenly across the window's fista span.
-func traceIterations(tr *telemetry.Tracer, pid int64, d coordinator.Decoded, start, dur int64) {
-	samples := d.Res.IterTrace
-	if len(samples) == 0 {
-		return
-	}
-	const maxPoints = 64
-	stride := (len(samples) + maxPoints - 1) / maxPoints
-	for i := 0; i < len(samples); i += stride {
-		s := samples[i]
-		ts := start + int64(float64(dur)*float64(i)/float64(len(samples)))
-		tr.Counter(pid, "fista objective", ts, telemetry.F("objective", s.Objective))
-		tr.Counter(pid, "fista residual", ts, telemetry.F("residual", s.Residual))
-		tr.Counter(pid, "fista step", ts, telemetry.F("step", s.Step))
-	}
-}
-
 // RunStream executes the full pipeline and returns the session report.
 func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	if cfg.RecordID == "" {
@@ -274,21 +241,8 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	}
 	rx.Instrument(reg)
 	dec.Instrument(reg, cfg.Clock)
-	tr := cfg.Trace
-	var ses telemetry.Session
-	if tr != nil {
+	if spans != nil && spans.RetainsAll() {
 		dec.EnableIterationTrace()
-		label := cfg.TraceLabel
-		if label == "" {
-			label = "record " + cfg.RecordID
-		}
-		ses = tr.NewSession(label)
-		tr.ThreadName(ses.Mote, tidAcquire, "acquire")
-		tr.ThreadName(ses.Mote, tidEncode, "encode")
-		tr.ThreadName(ses.Link, tidAir, "air")
-		tr.ThreadName(ses.Coordinator, tidRX, "rx")
-		tr.ThreadName(ses.Coordinator, tidBuffer, "reorder-buffer")
-		tr.ThreadName(ses.Coordinator, tidDecode, "decode")
 	}
 	stageHist := make(map[string]*telemetry.Histogram, len(telemetry.Stages()))
 	for _, s := range telemetry.Stages() {
@@ -319,23 +273,10 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	cyclesToNs := func(c int64) int64 { return c * int64(time.Second) / mote.ClockHz }
 	reconstructNs := int64(coordinator.DefaultCosts().IterationTime(dec.Params(), cfg.Mode))
 	var nowNs, decodeFreeAt int64
-	var lostSoFar int64
 	rxAt := map[uint32]int64{}      // per-seq arrival time of the delivered frame
 	retxAttempt := map[uint32]int{} // per-seq NACK retransmission attempts served
 	lastRung := coordinator.RungNominal
 	lastCRC := 0
-
-	// noteLoss emits a loss instant when the last transmit was destroyed.
-	noteLoss := func(seq int64) {
-		st := lnk.Stats()
-		if lost := st.Dropped + st.Corrupted; lost > lostSoFar {
-			if tr != nil {
-				tr.Instant(ses.Link, tidAir, telemetry.EventLoss, telemetry.CatWindow, nowNs,
-					telemetry.I("seq", seq))
-			}
-			lostSoFar = lost
-		}
-	}
 
 	// Windows indexed by sequence number, for scoring late releases.
 	var wins [][]int16
@@ -391,12 +332,20 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 								}
 							}
 							wt.Child(si, telemetry.ContStageName(i), off, durS)
-							if tr != nil {
-								tr.BeginSpan(ses.Coordinator, tidDecode, telemetry.ContStageName(i), telemetry.CatWindow, off)
-								tr.EndSpan(ses.Coordinator, tidDecode, telemetry.ContStageName(i), telemetry.CatWindow, off+durS)
-							}
 							off += durS
 							rem -= durS
+						}
+					}
+					if n := len(d.Res.IterTrace); n > 0 {
+						// Downsample the iteration trace, spread evenly
+						// across the solve span.
+						stride := (n + telemetry.MaxIterPoints - 1) / telemetry.MaxIterPoints
+						for i := 0; i < n; i += stride {
+							it := d.Res.IterTrace[i]
+							wt.Iteration(telemetry.IterPoint{
+								AtNs:      start + int64(float64(fistaNs)*float64(i)/float64(n)),
+								Objective: it.Objective, Residual: it.Residual, Step: it.Step,
+							})
 						}
 					}
 					wt.Leaf(telemetry.StageReconstruct, start+fistaNs, reconstructNs)
@@ -452,21 +401,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 					TraceID:    tid,
 				})
 			}
-			if tr != nil {
-				seqArg := telemetry.I("seq", int64(d.Seq))
-				tr.Span(ses.Coordinator, tidBuffer, telemetry.StageReassemble, telemetry.CatWindow,
-					arrive, start-arrive, seqArg)
-				tr.Span(ses.Coordinator, tidDecode, telemetry.StageFISTA, telemetry.CatWindow,
-					start, fistaNs, seqArg, telemetry.I("iterations", int64(d.Res.Iterations)))
-				tr.Span(ses.Coordinator, tidDecode, telemetry.StageReconstruct, telemetry.CatWindow,
-					start+fistaNs, reconstructNs, seqArg)
-				if spans != nil {
-					// Terminate the window's flow arrow on the decode slice.
-					tr.FlowEnd(ses.Coordinator, tidDecode, telemetry.FlowWindow, telemetry.CatWindow,
-						start, int64(spans.TraceID(d.Seq)))
-				}
-				traceIterations(tr, ses.Coordinator, d, start, fistaNs)
-			}
 
 			if d.Seq == 0 || int(d.Seq) >= len(wins) {
 				continue // cold start is excluded from the quality stats
@@ -500,14 +434,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 			}
 			rxAt[p.Seq] = rxEnd
 			stageHist[telemetry.StageRX].Observe(durNs)
-			if tr != nil {
-				tr.Span(ses.Coordinator, tidRX, telemetry.StageRX, telemetry.CatWindow,
-					rxEnd-durNs, durNs, telemetry.I("seq", int64(p.Seq)))
-				if spans != nil {
-					tr.FlowStep(ses.Coordinator, tidRX, telemetry.FlowWindow, telemetry.CatWindow,
-						rxEnd-durNs, int64(spans.TraceID(p.Seq)))
-				}
-			}
 			out, err := rx.Push(p)
 			if err != nil {
 				return err
@@ -546,10 +472,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 				if !ok {
 					continue // aged out of the ring
 				}
-				if tr != nil {
-					tr.Instant(ses.Link, tidAir, telemetry.EventRetransmit, telemetry.CatWindow,
-						nowNs, telemetry.I("seq", int64(pkt.Seq)))
-				}
 				before := lnk.Stats().Airtime
 				frames, txNs, err := transmit(pkt)
 				if err != nil {
@@ -557,10 +479,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 				}
 				rep.RetransmitAirtime += lnk.Stats().Airtime - before
 				stageHist[telemetry.StageTX].Observe(txNs)
-				if tr != nil {
-					tr.Span(ses.Link, tidAir, telemetry.StageTX, telemetry.CatWindow, nowNs, txNs,
-						telemetry.I("seq", int64(pkt.Seq)), telemetry.I("retransmit", 1))
-				}
 				if spans != nil {
 					if wt := spans.Lookup(pkt.Seq); wt != nil {
 						// The gap since the window's last span is the time
@@ -576,7 +494,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 					}
 				}
 				nowNs += txNs
-				noteLoss(int64(pkt.Seq))
 				if err := deliver(frames, nowNs, txNs); err != nil {
 					return err
 				}
@@ -625,18 +542,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 		stageHist[telemetry.StageCSSample].Observe(csNs)
 		stageHist[telemetry.StageDiff].Observe(diffNs)
 		stageHist[telemetry.StageHuffman].Observe(huffNs)
-		if tr != nil {
-			seqArg := telemetry.I("seq", w)
-			tr.Span(ses.Mote, tidAcquire, telemetry.StageSample, telemetry.CatWindow,
-				w*windowNs, windowNs, seqArg)
-			tr.Span(ses.Mote, tidEncode, telemetry.StageCSSample, telemetry.CatWindow,
-				nowNs, csNs, seqArg)
-			tr.Span(ses.Mote, tidEncode, telemetry.StageDiff, telemetry.CatWindow,
-				nowNs+csNs, diffNs, seqArg)
-			tr.Span(ses.Mote, tidEncode, telemetry.StageHuffman, telemetry.CatWindow,
-				nowNs+csNs+diffNs, huffNs, seqArg,
-				telemetry.I("bytes", int64(mr.Packet.WireSize())))
-		}
 		nowNs += csNs + diffNs + huffNs
 
 		frames, txNs, err := transmit(mr.Packet)
@@ -644,38 +549,20 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 			return nil, err
 		}
 		stageHist[telemetry.StageTX].Observe(txNs)
-		if tr != nil {
-			tr.Span(ses.Link, tidAir, telemetry.StageTX, telemetry.CatWindow, nowNs, txNs,
-				telemetry.I("seq", w))
-			if spans != nil {
-				// The window's flow arrow starts on the transmit slice.
-				tr.FlowStart(ses.Link, tidAir, telemetry.FlowWindow, telemetry.CatWindow,
-					nowNs, int64(spans.TraceID(uint32(w))))
-			}
-		}
 		if wt != nil {
 			wt.Leaf(telemetry.StageTX, nowNs, txNs)
 		}
 		nowNs += txNs
-		noteLoss(w)
 		if err := deliver(frames, nowNs, txNs); err != nil {
 			return nil, err
 		}
 		ctrlPkts, late := rx.EndSlot()
 		score(late)
 		for _, c := range ctrlPkts {
-			if tr != nil {
-				name := telemetry.EventNack
-				if c.Kind == core.KindKeyRequest {
-					name = telemetry.EventKeyRequest
+			if ctrl != nil {
+				if err := serveControl(c); err != nil {
+					return nil, err
 				}
-				tr.Instant(ses.Coordinator, tidRX, name, telemetry.CatWindow, nowNs)
-			}
-			if ctrl == nil {
-				continue
-			}
-			if err := serveControl(c); err != nil {
-				return nil, err
 			}
 		}
 		if cfg.Observer != nil {

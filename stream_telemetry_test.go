@@ -1,73 +1,126 @@
 package csecg
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"sort"
+	"strings"
 	"testing"
 	"time"
-
-	"csecg/internal/telemetry"
 )
 
-// streamTrace runs a short clean session with tracing attached and
-// returns the report plus the recorded events.
-func streamTrace(t *testing.T, cfg StreamConfig) (*StreamReport, []TraceEvent) {
+// lossyNACKConfig is a burst-lossy NACK session: retransmit waits,
+// reorder holds and slot-late recovery all land on the critical path.
+func lossyNACKConfig() StreamConfig {
+	cfg := StreamConfig{
+		RecordID: "100",
+		Seconds:  60,
+		Params:   Params{Seed: 0x7A4, M: MForCR(50, WindowSize)},
+		Mode:     ModeNEON,
+	}
+	cfg.Link = DefaultLinkConfig()
+	cfg.Link.Burst = &BurstConfig{PGoodBad: 0.06, PBadGood: 0.50}
+	cfg.Link.Seed = 0xC4A7
+	cfg.Transport = TransportConfig{NACK: true}
+	return cfg
+}
+
+// chromeEvent is the subset of a trace_event the stream tests inspect.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	PID  int64          `json:"pid"`
+	TID  int64          `json:"tid"`
+	ID   string         `json:"id"`
+	Args map[string]any `json:"args"`
+}
+
+// ns converts a trace_event microsecond value back to nanoseconds.
+func ns(us float64) int64 { return int64(math.Round(us * 1000)) }
+
+// streamChromeTrace runs the lossy NACK session with a RetainAll span
+// tracer and renders the retained trees as a Chrome trace.
+func streamChromeTrace(t *testing.T) (*StreamReport, []SpanTraceRecord, []chromeEvent) {
 	t.Helper()
-	tr := NewTracer(NewManualClock(0))
-	cfg.Trace = tr
+	spans := NewSpanTracer(SpanTracerConfig{Label: "record 100", RetainAnomalous: 4096, RetainAll: true})
+	cfg := lossyNACKConfig()
+	cfg.Spans = spans
 	cfg.Metrics = NewMetrics()
 	cfg.Clock = NewManualClock(0)
 	rep, err := RunStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, tr.Events()
+	if rep.Transport.Gaps == 0 {
+		t.Fatal("lossy session produced no gaps; nothing retransmitted")
+	}
+	if n := spans.RetainDropped(); n != 0 {
+		t.Fatalf("span tracer dropped %d trees", n)
+	}
+	recs := spans.Records()
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("Chrome trace is not valid JSON: %v", err)
+	}
+	return rep, recs, doc.TraceEvents
 }
 
-// TestStreamTraceCoversEveryStage is the PR's acceptance property: every
-// decoded window must appear in the trace with all nine lifecycle
-// stages.
+// TestStreamTraceCoversEveryStage checks that the Chrome trace rendered
+// from a RetainAll session shows every decoded window: its window slice,
+// its solve on the decode lane, the flow arrow ending there, and the
+// solver counter tracks.
 func TestStreamTraceCoversEveryStage(t *testing.T) {
-	rep, events := streamTrace(t, StreamConfig{
-		RecordID: "100",
-		Seconds:  12,
-		Params:   Params{Seed: 0x0B5, M: MForCR(50, WindowSize)},
-		Mode:     ModeNEON,
-	})
-	if rep.Decoded == 0 {
-		t.Fatal("clean session decoded nothing")
+	rep, recs, events := streamChromeTrace(t)
+	decoded := map[string]bool{}
+	for _, r := range recs {
+		if r.LatencyNs > 0 {
+			decoded[r.TraceID] = true
+		}
 	}
-	// stage name → set of window seqs that have a span for it.
-	seen := map[string]map[int64]bool{}
-	fistaSpans := 0
+	if len(decoded) != rep.Decoded {
+		t.Fatalf("%d decoded span trees for %d decoded windows", len(decoded), rep.Decoded)
+	}
+	windows, flowEnds := map[string]bool{}, map[string]bool{}
+	solves := map[int64]bool{} // by seq
+	counters := map[string]int{}
 	for _, e := range events {
-		if e.Phase != telemetry.PhaseSpan || e.Cat != telemetry.CatWindow {
-			continue
-		}
-		var seq int64 = -1
-		for _, a := range e.Args {
-			if a.Key == "seq" {
-				seq = a.Int
-			}
-		}
-		if seq < 0 {
-			continue
-		}
-		if seen[e.Name] == nil {
-			seen[e.Name] = map[int64]bool{}
-		}
-		seen[e.Name][seq] = true
-		if e.Name == telemetry.StageFISTA {
-			fistaSpans++
-		}
-	}
-	for _, stage := range PipelineStages() {
-		for seq := int64(0); seq < int64(rep.Decoded); seq++ {
-			if !seen[stage][seq] {
-				t.Errorf("window %d has no %q span", seq, stage)
+		switch {
+		case e.Ph == "b" && e.Name == "window":
+			windows[e.ID] = true
+		case e.Ph == "f":
+			flowEnds[e.ID] = true
+		case e.Ph == "C":
+			counters[e.Name]++
+		case (e.Ph == "X" || e.Ph == "B") && strings.Contains(e.Name, "/"):
+			if seq, ok := e.Args["seq"].(float64); ok {
+				solves[int64(seq)] = true
 			}
 		}
 	}
-	if fistaSpans != rep.Decoded {
-		t.Errorf("%d fista spans for %d decoded windows", fistaSpans, rep.Decoded)
+	for _, r := range recs {
+		if !decoded[r.TraceID] {
+			continue
+		}
+		if !windows[r.TraceID] || !flowEnds[r.TraceID] {
+			t.Errorf("window %d (%s): window slice %v, flow end %v", r.Seq, r.TraceID, windows[r.TraceID], flowEnds[r.TraceID])
+		}
+		if !solves[int64(r.Seq)] {
+			t.Errorf("window %d has no solver slice", r.Seq)
+		}
+	}
+	for _, name := range []string{"fista objective", "fista residual", "fista step"} {
+		if counters[name] < rep.Decoded {
+			t.Errorf("counter track %q has %d points for %d decoded windows", name, counters[name], rep.Decoded)
+		}
 	}
 	// Report summaries must be populated from the same session.
 	for _, stage := range PipelineStages() {
@@ -81,30 +134,83 @@ func TestStreamTraceCoversEveryStage(t *testing.T) {
 }
 
 // TestStreamTraceSpansDisjointPerTrack pins the modeled-timeline
-// invariant: spans sharing one (pid, tid) track never overlap, so the
-// trace renders as a clean lane per pipeline resource.
+// invariant: slices sharing one (pid, tid) lane never overlap, so the
+// trace renders as a clean lane per pipeline resource — also when loss,
+// retransmission and reorder holds interleave windows.
 func TestStreamTraceSpansDisjointPerTrack(t *testing.T) {
-	_, events := streamTrace(t, StreamConfig{
-		RecordID: "100",
-		Seconds:  10,
-		Params:   Params{Seed: 0x0B5, M: MForCR(50, WindowSize)},
-		Mode:     ModeNEON,
-	})
-	type key struct{ pid, tid int64 }
-	lastEnd := map[key]int64{}
+	_, _, events := streamChromeTrace(t)
+	type lane struct{ pid, tid int64 }
+	type slice struct {
+		name       string
+		start, end int64
+	}
+	lanes := map[lane][]slice{}
+	open := map[lane][]chromeEvent{}
 	for _, e := range events {
-		if e.Phase != telemetry.PhaseSpan {
-			continue
+		k := lane{e.PID, e.TID}
+		switch e.Ph {
+		case "X":
+			if e.Dur < 0 {
+				t.Fatalf("slice %q has negative duration %v", e.Name, e.Dur)
+			}
+			lanes[k] = append(lanes[k], slice{e.Name, ns(e.TS), ns(e.TS + e.Dur)})
+		case "B":
+			open[k] = append(open[k], e)
+		case "E":
+			st := open[k]
+			if len(st) == 0 {
+				t.Fatalf("E %q on pid %d tid %d closes nothing", e.Name, e.PID, e.TID)
+			}
+			b := st[len(st)-1]
+			open[k] = st[:len(st)-1]
+			if len(open[k]) == 0 { // only outermost slices share the lane
+				lanes[k] = append(lanes[k], slice{b.Name, ns(b.TS), ns(e.TS)})
+			}
 		}
-		k := key{e.PID, e.TID}
-		if e.TS < lastEnd[k] {
-			t.Fatalf("span %q at %d ns overlaps previous span on pid %d tid %d (ends %d)",
-				e.Name, e.TS, e.PID, e.TID, lastEnd[k])
+	}
+	for k, ss := range lanes {
+		sort.Slice(ss, func(i, j int) bool { return ss[i].start < ss[j].start })
+		for i := 1; i < len(ss); i++ {
+			if ss[i].start < ss[i-1].end {
+				t.Fatalf("slice %q at %d ns overlaps %q (ends %d) on pid %d tid %d",
+					ss[i].name, ss[i].start, ss[i-1].name, ss[i-1].end, k.pid, k.tid)
+			}
 		}
-		if e.Dur < 0 {
-			t.Fatalf("span %q has negative duration %d", e.Name, e.Dur)
+	}
+}
+
+// TestStreamTracingLeavesPipelineUnchanged runs one lossy NACK session
+// untraced, with default span tracing, and with RetainAll tracing
+// (which also turns on the solver's iteration trace): the reports must
+// be identical.
+func TestStreamTracingLeavesPipelineUnchanged(t *testing.T) {
+	run := func(spans *SpanTracer) *StreamReport {
+		cfg := lossyNACKConfig()
+		cfg.Spans = spans
+		rep, err := RunStream(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		lastEnd[k] = e.TS + e.Dur
+		return rep
+	}
+	base := run(nil)
+	if base.Transport.Gaps == 0 {
+		t.Fatal("lossy session produced no gaps; nothing retransmitted")
+	}
+	for name, spans := range map[string]*SpanTracer{
+		"default":   NewSpanTracer(SpanTracerConfig{Label: "record 100"}),
+		"retainall": NewSpanTracer(SpanTracerConfig{Label: "record 100", RetainAnomalous: 4096, RetainAll: true}),
+	} {
+		rep := run(spans)
+		if rep.Decoded != base.Decoded ||
+			math.Float64bits(rep.MeanPRDN) != math.Float64bits(base.MeanPRDN) ||
+			math.Float64bits(rep.MeanEstPRDN) != math.Float64bits(base.MeanEstPRDN) ||
+			math.Float64bits(rep.MeanIterations) != math.Float64bits(base.MeanIterations) ||
+			rep.DecodeLatency != base.DecodeLatency {
+			t.Errorf("%s tracing changed the session:\ngot  decoded %d PRDN %v est %v iters %v latency %+v\nwant decoded %d PRDN %v est %v iters %v latency %+v",
+				name, rep.Decoded, rep.MeanPRDN, rep.MeanEstPRDN, rep.MeanIterations, rep.DecodeLatency,
+				base.Decoded, base.MeanPRDN, base.MeanEstPRDN, base.MeanIterations, base.DecodeLatency)
+		}
 	}
 }
 
