@@ -3,9 +3,12 @@ package csecg
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -41,10 +44,30 @@ type chromeEvent struct {
 // ns converts a trace_event microsecond value back to nanoseconds.
 func ns(us float64) int64 { return int64(math.Round(us * 1000)) }
 
+// lossyTrace caches the one lossy RetainAll session both Chrome-trace
+// tests read; each 60 s lossy session costs close to a minute under the
+// race detector.
+var lossyTrace struct {
+	once   sync.Once
+	rep    *StreamReport
+	recs   []SpanTraceRecord
+	events []chromeEvent
+	err    error
+}
+
 // streamChromeTrace runs the lossy NACK session with a RetainAll span
 // tracer and renders the retained trees as a Chrome trace.
 func streamChromeTrace(t *testing.T) (*StreamReport, []SpanTraceRecord, []chromeEvent) {
 	t.Helper()
+	lt := &lossyTrace
+	lt.once.Do(func() { lt.rep, lt.recs, lt.events, lt.err = renderLossyTrace() })
+	if lt.err != nil {
+		t.Fatal(lt.err)
+	}
+	return lt.rep, lt.recs, lt.events
+}
+
+func renderLossyTrace() (*StreamReport, []SpanTraceRecord, []chromeEvent, error) {
 	spans := NewSpanTracer(SpanTracerConfig{Label: "record 100", RetainAnomalous: 4096, RetainAll: true})
 	cfg := lossyNACKConfig()
 	cfg.Spans = spans
@@ -52,26 +75,26 @@ func streamChromeTrace(t *testing.T) (*StreamReport, []SpanTraceRecord, []chrome
 	cfg.Clock = NewManualClock(0)
 	rep, err := RunStream(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, err
 	}
 	if rep.Transport.Gaps == 0 {
-		t.Fatal("lossy session produced no gaps; nothing retransmitted")
+		return nil, nil, nil, errors.New("lossy session produced no gaps; nothing retransmitted")
 	}
 	if n := spans.RetainDropped(); n != 0 {
-		t.Fatalf("span tracer dropped %d trees", n)
+		return nil, nil, nil, fmt.Errorf("span tracer dropped %d trees", n)
 	}
 	recs := spans.Records()
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, recs); err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, err
 	}
 	var doc struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("Chrome trace is not valid JSON: %v", err)
+		return nil, nil, nil, fmt.Errorf("Chrome trace is not valid JSON: %w", err)
 	}
-	return rep, recs, doc.TraceEvents
+	return rep, recs, doc.TraceEvents, nil
 }
 
 // TestStreamTraceCoversEveryStage checks that the Chrome trace rendered
@@ -184,6 +207,9 @@ func TestStreamTraceSpansDisjointPerTrack(t *testing.T) {
 // (which also turns on the solver's iteration trace): the reports must
 // be identical.
 func TestStreamTracingLeavesPipelineUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 60 s lossy sessions; determinism needs no race instrumentation")
+	}
 	run := func(spans *SpanTracer) *StreamReport {
 		cfg := lossyNACKConfig()
 		cfg.Spans = spans
