@@ -23,16 +23,48 @@ func loadFixedpointVariant(t *testing.T, mutate func(string) string) []Diagnosti
 	if mutate != nil {
 		code = mutate(code)
 	}
+	return runRangeCheckSource(t, "fixedpointvariant", code)
+}
+
+// runRangeCheckSource type-checks code as the single file of a device
+// package with import path ip and runs rangecheck over it.
+func runRangeCheckSource(t *testing.T, ip, code string) []Diagnostic {
+	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "fixedpoint.go"), []byte(code), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ip+".go"), []byte(code), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const ip = "fixedpointvariant"
 	pkg, fset, err := LoadDir(dir, ip)
 	if err != nil {
-		t.Fatalf("type-checking variant: %v", err)
+		t.Fatalf("type-checking %s: %v", ip, err)
 	}
 	return RunPackage(fset, pkg, Config{DevicePackages: []string{ip}}, []*Analyzer{RangeCheck})
+}
+
+// TestScratchControl is the control for the loop-exit soundness cases in
+// testdata/src/rangecheck: an unbounded accumulation in a plain loop, with
+// no switch, continue or fallthrough in the way, must report int16
+// overflow when loaded as a standalone device package.
+func TestScratchControl(t *testing.T) {
+	diags := runRangeCheckSource(t, "scratchpkg", `package scratchpkg
+
+func F(n int) int16 {
+	var acc int16
+	for i := 0; i < n; i++ {
+		acc += 1000
+	}
+	return acc
+}
+`)
+	found := false
+	for _, d := range diags {
+		if d.Analyzer == "rangecheck" && strings.Contains(d.Message, "int16 addition may wrap") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("expected an int16 overflow finding on the plain-loop accumulator, got: %v", diags)
+	}
 }
 
 // TestFixedpointProvesClean pins the ISSUE's core soundness claim: the
