@@ -18,9 +18,12 @@ vet:
 # RAM/flash budgets, determinism, dropped errors, mutexes held across
 # blocking calls, goroutine shutdown paths, metric naming/export, and
 # the v3 interval engine: rangecheck overflow proofs and stackcheck
-# worst-case stack bounds) against the committed baseline.
+# worst-case stack bounds) against the committed baseline, and fails
+# on any Go file gofmt would rewrite.
 lint:
 	$(GO) run ./cmd/csecg-vet -baseline vet-baseline.json ./...
+	@unformatted="$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go'))"; \
+		test -z "$$unformatted" || { echo "gofmt needs to rewrite:"; echo "$$unformatted"; exit 1; }
 
 # stack-budget fails if the machine-computed worst-case device stack
 # exceeds the RAMStackMisc ledger line (DESIGN.md §15). The -stack-report
@@ -51,8 +54,13 @@ test:
 # Race instrumentation slows the FISTA-heavy experiment-shape tests past
 # any reasonable timeout; they run un-instrumented in `test` and skip
 # themselves under -short.
+# The shared-operator test then repeats under -race: Compose and
+# Transform pool their scratch vectors so one operator can serve
+# several goroutines, and a scratch buffer that leaked between callers
+# would show up here as a data race.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 -run TestSharedOperatorsConcurrent ./internal/wavelet/
 
 # chaos runs the survival-layer acceptance matrix (bit flips, burst
 # loss, mote reboot, CPU slowdown, decode panics, clock drift) at CI
@@ -97,7 +105,7 @@ bench:
 # the CI regression comparison against the committed baseline (fails on
 # >15% normalized growth — see internal/bench).
 perf:
-	$(GO) run ./cmd/csecg-bench -json BENCH_4.json
+	$(GO) run ./cmd/csecg-bench -json BENCH_13.json
 
 perf-gate:
-	$(GO) run ./cmd/csecg-bench -compare BENCH_4.json
+	$(GO) run ./cmd/csecg-bench -compare BENCH_13.json

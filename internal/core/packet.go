@@ -161,4 +161,3 @@ func UnmarshalPacket(data []byte) (*Packet, int, error) {
 	}
 	return p, total, nil
 }
-

@@ -12,7 +12,8 @@ package linalg
 //     comparison results are used as arithmetic values instead of
 //     branches, so all four lanes follow the same instruction stream;
 //   - outer-loop vectorization of two-level filter loops (Fig. 5),
-//     implemented in internal/wavelet on top of Dot4.
+//     implemented by the wavelet filter-bank kernels in
+//     internal/wavelet/loops.go.
 //
 // The shapes here intentionally match what a NEON (or SSE) build would
 // emit; internal/coordinator charges them NEON cycle costs when modeling

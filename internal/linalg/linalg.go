@@ -102,6 +102,35 @@ func Norm2[T Float](x []T) T {
 	return maxAbs * T(math.Sqrt(float64(s)))
 }
 
+// DistNorm2 returns ‖a−b‖₂ without scratch storage. It recomputes each
+// difference in both of Norm2's passes, so it equals Norm2 of Sub(a, b)
+// (or Sub4) bit for bit; the solver's stopping rule depends on that.
+func DistNorm2[T Float](a, b []T) T {
+	if len(a) != len(b) {
+		panic("linalg: DistNorm2 length mismatch")
+	}
+	b = b[:len(a)]
+	var maxAbs T
+	for i := range a {
+		v := a[i] - b[i]
+		if v < 0 {
+			v = -v
+		}
+		if v > maxAbs {
+			maxAbs = v
+		}
+	}
+	if maxAbs == 0 {
+		return 0
+	}
+	var s T
+	for i := range a {
+		r := (a[i] - b[i]) / maxAbs
+		s += r * r
+	}
+	return maxAbs * T(math.Sqrt(float64(s)))
+}
+
 // Norm1 returns the sum of absolute values of x.
 func Norm1[T Float](x []T) T {
 	var s T

@@ -403,3 +403,36 @@ func BenchmarkDenseMatVec256x512(b *testing.B) {
 		m.MatVec(dst, x)
 	}
 }
+
+// TestDistNorm2MatchesNorm2OfSub checks the allocation-free distance
+// against the two-step Norm2(Sub4(a, b)) it replaces in the solver's
+// stopping rule, bit for bit, over lengths that hit the 4-wide tail.
+func TestDistNorm2MatchesNorm2OfSub(t *testing.T) {
+	state := uint64(0x9e37_79b9_7f4a_7c15)
+	next := func() float64 {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return float64(int64(state%2000001)-1000000) / 7919
+	}
+	for _, n := range []int{0, 1, 3, 4, 7, 64, 511, 512} {
+		a64, b64 := make([]float64, n), make([]float64, n)
+		a32, b32 := make([]float32, n), make([]float32, n)
+		for i := range a64 {
+			a64[i], b64[i] = next(), next()
+			if i%5 == 0 {
+				b64[i] = a64[i] // exact zero differences
+			}
+			a32[i], b32[i] = float32(a64[i]), float32(b64[i])
+		}
+		d64, d32 := make([]float64, n), make([]float32, n)
+		Sub4(d64, a64, b64)
+		Sub4(d32, a32, b32)
+		if got, want := DistNorm2(a64, b64), Norm2(d64); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("float64 n=%d: DistNorm2 = %v, Norm2(Sub4) = %v", n, got, want)
+		}
+		if got, want := DistNorm2(a32, b32), Norm2(d32); math.Float32bits(got) != math.Float32bits(want) {
+			t.Errorf("float32 n=%d: DistNorm2 = %v, Norm2(Sub4) = %v", n, got, want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package linalg
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Op is a linear operator presented as a pair of closures: Apply computes
 // dst = A·x and ApplyT computes dst = Aᵀ·y. The CS reconstruction never
@@ -68,22 +71,34 @@ func OpFromDense[T Float](m *Dense[T]) Op[T] {
 // Compose returns the operator (outer ∘ inner): x ↦ outer(inner(x)).
 // The CS recovery operator is Compose(Φ, Ψ) with Ψ the inverse-wavelet
 // synthesis operator.
+//
+// Each apply borrows its intermediate vector from a sync.Pool owned by
+// the returned operator, so a FISTA iteration allocates nothing, and
+// one composed operator may still be driven from several goroutines at
+// once (the experiment harness fans a shared operator across records).
 func Compose[T Float](outer, inner Op[T]) Op[T] {
 	if inner.OutDim != outer.InDim {
 		panic("linalg: Compose dimension mismatch")
 	}
+	// The pool holds *[]T so Get and Put do not allocate.
+	mid := &sync.Pool{New: func() any {
+		v := make([]T, inner.OutDim)
+		return &v
+	}}
 	return Op[T]{
 		InDim:  inner.InDim,
 		OutDim: outer.OutDim,
 		Apply: func(dst, x []T) {
-			mid := make([]T, inner.OutDim)
-			inner.Apply(mid, x)
-			outer.Apply(dst, mid)
+			buf := mid.Get().(*[]T)
+			inner.Apply(*buf, x)
+			outer.Apply(dst, *buf)
+			mid.Put(buf)
 		},
 		ApplyT: func(dst, y []T) {
-			mid := make([]T, outer.InDim)
-			outer.ApplyT(mid, y)
-			inner.ApplyT(dst, mid)
+			buf := mid.Get().(*[]T)
+			outer.ApplyT(*buf, y)
+			inner.ApplyT(dst, *buf)
+			mid.Put(buf)
 		},
 	}
 }

@@ -16,7 +16,7 @@ func TestSpearman(t *testing.T) {
 	}{
 		{[]float64{1, 2, 3, 4}, []float64{10, 20, 30, 40}, 1},
 		{[]float64{1, 2, 3, 4}, []float64{40, 30, 20, 10}, -1},
-		{[]float64{1, 2, 3, 4}, []float64{100, 4, 900, 16}, 0},  // ranks 1,2,3,4 vs 3,1,4,2
+		{[]float64{1, 2, 3, 4}, []float64{100, 4, 900, 16}, 0},   // ranks 1,2,3,4 vs 3,1,4,2
 		{[]float64{1, 2, 3, 4}, []float64{4, 100, 16, 900}, 0.8}, // ranks 1,2,3,4 vs 1,3,2,4
 	}
 	for _, c := range cases {

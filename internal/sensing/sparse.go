@@ -138,7 +138,9 @@ func (s *SparseBinary) AddMeasureInt(dst []int32, c int, x int16) {
 }
 
 // Op returns the real-valued operator view Φ (with the 1/√d scaling) for
-// the solver side, generic over the float width.
+// the solver side, generic over the float width. Apply scatters each
+// column into its d rows; ApplyT gathers them, walking the column
+// supports as consecutive d-entry slices of one array.
 func Op[T linalg.Float](s *SparseBinary) linalg.Op[T] {
 	scale := T(s.scale)
 	return linalg.Op[T]{
@@ -151,12 +153,15 @@ func Op[T linalg.Float](s *SparseBinary) linalg.Op[T] {
 			for i := range dst {
 				dst[i] = 0
 			}
+			sup, d := s.support, s.d
 			for c := 0; c < s.n; c++ {
+				col := sup[:d]
+				sup = sup[d:]
 				v := x[c] * scale
 				if v == 0 {
 					continue
 				}
-				for _, r := range s.Support(c) {
+				for _, r := range col {
 					dst[r] += v
 				}
 			}
@@ -165,11 +170,13 @@ func Op[T linalg.Float](s *SparseBinary) linalg.Op[T] {
 			if len(dst) != s.n || len(y) != s.m {
 				panic("sensing: Op.ApplyT dimension mismatch")
 			}
-			for c := 0; c < s.n; c++ {
+			sup, d := s.support, s.d
+			for c := range dst {
 				var acc T
-				for _, r := range s.Support(c) {
+				for _, r := range sup[:d] {
 					acc += y[r]
 				}
+				sup = sup[d:]
 				dst[c] = acc * scale
 			}
 		},

@@ -335,15 +335,9 @@ func (st *state[T]) converged(cur, prev []T, tol float64) bool {
 	if tol < 0 {
 		return false
 	}
-	diff := make([]T, len(cur))
-	if st.vec {
-		linalg.Sub4(diff, cur, prev)
-	} else {
-		linalg.Sub(diff, cur, prev)
-	}
 	den := float64(linalg.Norm2(cur))
 	if den < 1 {
 		den = 1
 	}
-	return float64(linalg.Norm2(diff))/den < tol
+	return float64(linalg.DistNorm2(cur, prev))/den < tol
 }

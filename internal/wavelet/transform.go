@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"fmt"
+	"sync"
 
 	"csecg/internal/linalg"
 )
@@ -21,6 +22,10 @@ type Transform[T linalg.Float] struct {
 	h, g   []T // analysis low/high-pass filters
 	n      int
 	levels int
+	// scratch pools the length-n level buffer of Forward and Inverse.
+	// A pool rather than one owned buffer keeps a shared Transform safe
+	// to drive from several goroutines at once.
+	scratch sync.Pool
 }
 
 // New builds a Daubechies-order transform for length-n signals with the
@@ -50,6 +55,10 @@ func New[T linalg.Float](order, n, levels int) (*Transform[T], error) {
 		t.h[i] = T(h64[i])
 		t.g[i] = T(g64[i])
 	}
+	t.scratch.New = func() any {
+		buf := make([]T, n)
+		return &buf
+	}
 	return t, nil
 }
 
@@ -78,37 +87,20 @@ func (t *Transform[T]) Forward(dst, x []T) {
 	if len(dst) != t.n || len(x) != t.n {
 		panic("wavelet: Forward length mismatch")
 	}
-	buf := make([]T, t.n)
-	copy(buf, x)
+	bp := t.scratch.Get().(*[]T)
+	buf := *bp
+	// Level 1 reads x; each later level reads the previous level's
+	// approximation, copied out of dst before dst[:n] is overwritten.
+	// The last approximation stays in place as a_L.
+	src := x
 	n := t.n
 	for lev := 0; lev < t.levels; lev++ {
-		t.analyzeOne(dst[:n], buf[:n])
+		analyzeSplit(dst[:n], src[:n], t.h, t.g)
 		copy(buf[:n/2], dst[:n/2])
+		src = buf
 		n /= 2
 	}
-	copy(dst[:n], buf[:n])
-}
-
-// analyzeOne performs one analysis split of the length-n prefix:
-// dst[:n/2] = approximation, dst[n/2:n] = detail.
-func (t *Transform[T]) analyzeOne(dst, x []T) {
-	n := len(x)
-	half := n / 2
-	for k := 0; k < half; k++ {
-		var a, d T
-		base := 2 * k
-		for i := 0; i < len(t.h); i++ {
-			idx := base + i
-			if idx >= n {
-				idx -= n // filters never exceed block length, one wrap max
-			}
-			v := x[idx]
-			a += t.h[i] * v
-			d += t.g[i] * v
-		}
-		dst[k] = a
-		dst[half+k] = d
-	}
+	t.scratch.Put(bp)
 }
 
 // Inverse computes the synthesis transform Ψ: dst receives the signal
@@ -118,35 +110,19 @@ func (t *Transform[T]) Inverse(dst, coeffs []T) {
 	if len(dst) != t.n || len(coeffs) != t.n {
 		panic("wavelet: Inverse length mismatch")
 	}
-	buf := make([]T, t.n)
-	copy(buf, coeffs)
+	bp := t.scratch.Get().(*[]T)
+	buf := *bp
+	// The coarsest level reads a_L from coeffs; each finer level reads
+	// the approximation the previous one rebuilt, copied out of dst.
 	n := t.n >> uint(t.levels)
-	for lev := t.levels - 1; lev >= 0; lev-- {
-		t.synthesizeOne(dst[:2*n], buf[:n], buf[n:2*n])
-		copy(buf[:2*n], dst[:2*n])
-		n *= 2
+	a := coeffs[:n]
+	for ; 2*n < t.n; n *= 2 {
+		synthesizeSplit(dst[:2*n], a, coeffs[n:2*n], t.h, t.g)
+		a = buf[:2*n]
+		copy(a, dst[:2*n])
 	}
-	copy(dst, buf)
-}
-
-// synthesizeOne is the exact transpose of analyzeOne: it scatters the
-// approximation a and detail d back into a length-2·len(a) block.
-func (t *Transform[T]) synthesizeOne(dst, a, d []T) {
-	n := len(dst)
-	for i := range dst {
-		dst[i] = 0
-	}
-	for k := range a {
-		base := 2 * k
-		av, dv := a[k], d[k]
-		for i := 0; i < len(t.h); i++ {
-			idx := base + i
-			if idx >= n {
-				idx -= n
-			}
-			dst[idx] += t.h[i]*av + t.g[i]*dv
-		}
-	}
+	synthesizeSplit(dst, a, coeffs[n:], t.h, t.g)
+	t.scratch.Put(bp)
 }
 
 // SynthesisOp exposes Ψ as a linalg.Op: Apply is the synthesis (inverse)
