@@ -74,8 +74,8 @@ func DefaultCosts() CostModel {
 // MACsPerIteration counts the multiply-accumulate operations of one
 // FISTA iteration for the given pipeline parameters: one operator apply
 // and one adjoint apply (each a wavelet filter-bank pass plus a sparse
-// measurement pass) plus the vector arithmetic of the prox and momentum
-// steps.
+// measurement pass) plus the vector arithmetic of the prox, momentum,
+// restart and stopping-rule steps.
 func MACsPerIteration(p core.Params) int64 {
 	n := int64(p.N)
 	if n == 0 {
@@ -111,7 +111,9 @@ func MACsPerIteration(p core.Params) int64 {
 	}
 	sparseMACs := n * d
 	gradient := 2 * (basisMACs + sparseMACs) // apply + adjoint
-	vectorOps := 7*n + m                     // residual, prox, momentum, convergence
+	// m for the residual; per coefficient, 7 for the gradient step, prox,
+	// momentum and stopping-rule norms plus 1 for the restart product.
+	vectorOps := 8*n + m
 	return gradient + vectorOps
 }
 

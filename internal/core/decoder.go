@@ -34,6 +34,9 @@ type Decoder[T linalg.Float] struct {
 	synced    bool
 	// lastEscapes counts the escape symbols of the packet being decoded.
 	lastEscapes int
+	// y and resid are DecodePacket's per-window measurement and
+	// residual vectors; neither outlives the call.
+	y, resid []T
 
 	// SolverOptions tunes the recovery. MaxIter is the real-time budget
 	// (Section V: 800 unoptimized, 2000 optimized); Vectorized selects
@@ -106,6 +109,8 @@ func NewDecoder[T linalg.Float](p Params) (*Decoder[T], error) {
 		a:     a,
 		lip:   2 * linalg.PowerIterOpNorm(a, 30),
 		prevY: make([]int32, p.M),
+		y:     make([]T, p.M),
+		resid: make([]T, p.M),
 		SolverOptions: solver.Options[T]{
 			MaxIter: 2000,
 			// 3e-5 is the loosest tolerance whose reconstruction quality
@@ -158,7 +163,7 @@ func (d *Decoder[T]) DecodePacket(pkt *Packet) (*DecodeResult[T], error) {
 	// Stage 3: FISTA recovery of α from y, then x̃ = Ψα. The deferred
 	// scales are applied here: the 1/√d of the sensing matrix and the
 	// 2^shift of the encoder's LSB drop.
-	y := make([]T, d.p.M)
+	y := d.y
 	scale := T(d.phi.Scale() * float64(int64(1)<<uint(d.p.MeasurementShift)))
 	for i, v := range d.prevY {
 		y[i] = T(v) * scale
@@ -187,7 +192,7 @@ func (d *Decoder[T]) DecodePacket(pkt *Packet) (*DecodeResult[T], error) {
 	// Normalized data residual ‖Aα − y‖₂/‖y‖₂: one extra operator apply
 	// (≪ the solve's hundreds) buys the quality estimator its primary
 	// observable.
-	resid := make([]T, d.p.M)
+	resid := d.resid
 	d.a.Apply(resid, res.X)
 	linalg.Sub(resid, resid, y)
 	var residualNorm float64

@@ -21,40 +21,14 @@ type ConvergenceResult struct {
 
 // Convergence traces both solvers on one representative CR=50 window.
 func Convergence(opt Options) (*ConvergenceResult, error) {
-	opt = opt.withDefaults()
-	const n = core.WindowSize
-	m := metrics.MForCR(50, n)
-	w, err := wavelet.New[float64](core.DefaultWaveletOrder, n, core.DefaultWaveletLevels)
+	pr, err := convergenceWindow(opt)
 	if err != nil {
 		return nil, err
 	}
-	phi, err := sensing.NewSparseBinaryLCG(m, n, core.DefaultColumnWeight, 0xCC)
-	if err != nil {
-		return nil, err
-	}
-	wins, err := windows256(opt.Records[0], opt.SecondsPerRecord, n)
-	if err != nil {
-		return nil, err
-	}
-	win := wins[len(wins)/2]
-	x := make([]float64, n)
-	for i, v := range win {
-		x[i] = float64(v - core.ADCBaseline)
-	}
-	phiOp := sensing.Op[float64](phi)
-	y := make([]float64, m)
-	phiOp.Apply(y, x)
-	a := linalg.Compose(phiOp, w.SynthesisOp())
-	lip := 2 * linalg.PowerIterOpNorm(a, 40)
-
-	aty := make([]float64, n)
-	a.ApplyT(aty, y)
-	lambda := linalg.NormInf(aty) / 1000
-
 	trace := func(algo func(linalg.Op[float64], []float64, solver.Options[float64]) (solver.Result[float64], error), iters int) ([]float64, error) {
 		var vals []float64
-		_, err := algo(a, y, solver.Options[float64]{
-			MaxIter: iters, Tol: -1, Lambda: lambda, Lipschitz: lip,
+		_, err := algo(pr.a, pr.y, solver.Options[float64]{
+			MaxIter: iters, Tol: -1, Lambda: pr.lambda, Lipschitz: pr.lip,
 			Monitor: func(_ int, obj float64) { vals = append(vals, obj) },
 		})
 		return vals, err
@@ -82,6 +56,50 @@ func Convergence(opt Options) (*ConvergenceResult, error) {
 	return res, nil
 }
 
+// l1Problem is one float64 recovery problem min ‖Aα − y‖₂² + λ‖α‖₁
+// with its Lipschitz constant.
+type l1Problem struct {
+	a           linalg.Op[float64]
+	y           []float64
+	lambda, lip float64
+}
+
+// convergenceWindow builds the §II-B problem: the middle window of the
+// first record at CR 50, with the solver's default λ = ‖Aᵀy‖∞/1000.
+func convergenceWindow(opt Options) (l1Problem, error) {
+	opt = opt.withDefaults()
+	const n = core.WindowSize
+	m := metrics.MForCR(50, n)
+	w, err := wavelet.New[float64](core.DefaultWaveletOrder, n, core.DefaultWaveletLevels)
+	if err != nil {
+		return l1Problem{}, err
+	}
+	phi, err := sensing.NewSparseBinaryLCG(m, n, core.DefaultColumnWeight, 0xCC)
+	if err != nil {
+		return l1Problem{}, err
+	}
+	wins, err := windows256(opt.Records[0], opt.SecondsPerRecord, n)
+	if err != nil {
+		return l1Problem{}, err
+	}
+	win := wins[len(wins)/2]
+	x := make([]float64, n)
+	for i, v := range win {
+		x[i] = float64(v - core.ADCBaseline)
+	}
+	phiOp := sensing.Op[float64](phi)
+	y := make([]float64, m)
+	phiOp.Apply(y, x)
+	a := linalg.Compose(phiOp, w.SynthesisOp())
+	aty := make([]float64, n)
+	a.ApplyT(aty, y)
+	return l1Problem{
+		a: a, y: y,
+		lambda: linalg.NormInf(aty) / 1000,
+		lip:    2 * linalg.PowerIterOpNorm(a, 40),
+	}, nil
+}
+
 func gapAt(trace []float64, k int, fstar float64) float64 {
 	if k > len(trace) {
 		k = len(trace)
@@ -101,13 +119,16 @@ func (r *ConvergenceResult) Table() *Table {
 		Header: []string{"iteration k", "FISTA gap", "ISTA gap", "ratio"},
 	}
 	for i, k := range r.Checkpoints {
+		// A gap that prints as 0.00 is float noise, and a ratio against
+		// it would be too.
+		fGap := f2(r.FISTAGap[i])
 		ratio := "-"
-		if r.FISTAGap[i] > 0 {
+		if fGap != f2(0) {
 			ratio = f1(r.ISTAGap[i] / r.FISTAGap[i])
 		}
 		t.Rows = append(t.Rows, []string{
 			f1(float64(k)),
-			f2(r.FISTAGap[i]), f2(r.ISTAGap[i]), ratio,
+			fGap, f2(r.ISTAGap[i]), ratio,
 		})
 	}
 	return t

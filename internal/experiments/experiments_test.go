@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -177,6 +178,41 @@ func TestMemoryAndSpeedup(t *testing.T) {
 	}
 	if sp.VFPBudget < 700 || sp.VFPBudget > 950 || sp.NEONBudget < 1800 || sp.NEONBudget > 2300 {
 		t.Errorf("budgets %d/%d, want ≈800/2000", sp.VFPBudget, sp.NEONBudget)
+	}
+}
+
+// TestMemoryTableFlashRowsSum checks that the printed flash components
+// add up to the printed flash total, so no ledger line is left out of
+// the table.
+func TestMemoryTableFlashRowsSum(t *testing.T) {
+	mem, err := Memory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb := func(cell string) float64 {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(cell, " kB"), 64)
+		if err != nil {
+			t.Fatalf("cell %q: %v", cell, err)
+		}
+		return v
+	}
+	var sum, total float64
+	parts := 0
+	for _, row := range mem.Table().Rows {
+		switch {
+		case strings.HasPrefix(row[0], "flash: "):
+			sum += kb(row[1])
+			parts++
+		case row[0] == "flash total":
+			total = kb(row[1])
+		}
+	}
+	if want := float64(mem.Mem.FlashTotal()) / 1024; math.Abs(total-want) > 0.005 {
+		t.Errorf("flash total row %.2f kB, FlashTotal %.3f kB", total, want)
+	}
+	// Each printed row rounds to 0.01 kB.
+	if math.Abs(sum-total) > 0.005*float64(parts+1) {
+		t.Errorf("flash rows sum to %.2f kB, total row says %.2f kB", sum, total)
 	}
 }
 

@@ -111,6 +111,7 @@ func (r *MemoryResult) Table() *Table {
 			{"RAM: stack + globals", kb(mem.StackMisc)},
 			{"RAM total", kb(mem.RAMTotal())},
 			{"flash: code", kb(mem.CodeFlash)},
+			{"flash: CRC-16 table", kb(mem.CRCTableFlash)},
 			{"flash: Huffman codebook", kb(mem.CodebookFlash)},
 			{"flash total", kb(mem.FlashTotal())},
 		},

@@ -69,21 +69,22 @@ func SoftThreshold4[T Float](dst, u []T, t T) {
 	}
 	n4 := len(u) &^ 3
 	for i := 0; i < n4; i += 4 {
-		dst[i] = shrinkBranchless(u[i], t)
-		dst[i+1] = shrinkBranchless(u[i+1], t)
-		dst[i+2] = shrinkBranchless(u[i+2], t)
-		dst[i+3] = shrinkBranchless(u[i+3], t)
+		dst[i] = ShrinkBranchless(u[i], t)
+		dst[i+1] = ShrinkBranchless(u[i+1], t)
+		dst[i+2] = ShrinkBranchless(u[i+2], t)
+		dst[i+3] = ShrinkBranchless(u[i+3], t)
 	}
 	for i := n4; i < len(u); i++ {
-		dst[i] = shrinkBranchless(u[i], t)
+		dst[i] = ShrinkBranchless(u[i], t)
 	}
 }
 
-// shrinkBranchless computes sign(v)·max(|v|−t, 0) without branches:
+// ShrinkBranchless computes sign(v)·max(|v|−t, 0) without branches:
 // comparisons become 0/1 values exactly as in the paper's NEON
 // implementation (vcgt + vbsl), which the Go compiler lowers to
-// conditional moves.
-func shrinkBranchless[T Float](v, t T) T {
+// conditional moves. It is the lane body of SoftThreshold4, exported
+// for fused solver passes that shrink inside a wider update.
+func ShrinkBranchless[T Float](v, t T) T {
 	av := v
 	if av < 0 { // |v|: compiles to ANDPS/conditional move, no branch needed
 		av = -v
@@ -118,23 +119,5 @@ func Sub4[T Float](dst, a, b []T) {
 	}
 	for i := n4; i < len(a); i++ {
 		dst[i] = a[i] - b[i]
-	}
-}
-
-// Combine4 computes dst = a + beta*(a − b), the FISTA momentum update
-// (Eq. 6 of the paper), fused into a single pass and unrolled 4-wide.
-func Combine4[T Float](dst, a, b []T, beta T) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("linalg: Combine4 length mismatch")
-	}
-	n4 := len(a) &^ 3
-	for i := 0; i < n4; i += 4 {
-		dst[i] = a[i] + beta*(a[i]-b[i])
-		dst[i+1] = a[i+1] + beta*(a[i+1]-b[i+1])
-		dst[i+2] = a[i+2] + beta*(a[i+2]-b[i+2])
-		dst[i+3] = a[i+3] + beta*(a[i+3]-b[i+3])
-	}
-	for i := n4; i < len(a); i++ {
-		dst[i] = a[i] + beta*(a[i]-b[i])
 	}
 }

@@ -48,9 +48,11 @@ type Options[T linalg.Float] struct {
 	Vectorized bool
 	// X0, when non-nil, warm-starts the iteration. The packet decoder
 	// passes the previous window's solution: consecutive ECG windows are
-	// quasi-periodic, so the warm start cuts the iteration count
-	// substantially (this, plus continuation, is how the per-packet
-	// iteration counts of Fig. 7 stay in the hundreds).
+	// quasi-periodic, so the run starts near the answer. FISTA's
+	// momentum then overshoots around that start, and its adaptive
+	// restart damps the overshoot; warm start and restart together set
+	// the per-packet iteration counts of Fig. 7 (continuation serves
+	// the cold key frames).
 	X0 []T
 	// Monitor, when non-nil, is invoked each iteration with the current
 	// objective value F(α_k). Computing F costs one extra A·α per
@@ -115,8 +117,11 @@ type Result[T linalg.Float] struct {
 
 // FISTA minimizes F(α) = ‖Aα−y‖₂² + λ‖α‖₁ with the fast iterative
 // shrinkage-thresholding algorithm (constant step size, Eqs. (4)-(6) of
-// the paper). It returns an error only for structural problems (shape
-// mismatch, nil operator).
+// the paper) and the gradient-scheme adaptive restart of O'Donoghue &
+// Candès (2015): whenever (y_k − α_k)ᵀ(α_k − α_{k−1}) > 0 the momentum
+// is dropped (t_{k+1} = 1, y_{k+1} = α_k). Restart changes no stopping
+// rule or option; both kernel shapes run it. It returns an error only
+// for structural problems (shape mismatch, nil operator).
 func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], error) {
 	st, err := newState(a, y, &opt)
 	if err != nil {
@@ -137,35 +142,34 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 	tk := T(1)
 	dl := newDeadline(&opt)
 	res := Result[T]{Lambda: opt.Lambda, Lipschitz: opt.Lipschitz}
+	step, thr := 1/opt.Lipschitz, opt.Lambda/opt.Lipschitz
+	pass := fistaStep[T]
+	if st.vec {
+		pass = fistaStep4[T]
+	}
 	for k := 1; k <= opt.MaxIter; k++ {
-		// α_k = prox_{λ/L}(y_k − (1/L)∇f(y_k)), Eq. (4).
-		st.gradient(grad, yk)
+		// grad holds the half-gradient Aᵀ(Ay_k − y); the update pass
+		// doubles it.
+		st.halfGradient(grad, yk)
 		var residual T
 		if opt.Trace != nil {
 			// st.r still holds Ay_k − y from the gradient evaluation;
 			// read it before the objective computation reuses the buffer.
 			residual = linalg.Norm2(st.r)
 		}
-		step := 1 / opt.Lipschitz
-		if st.vec {
-			linalg.Axpy4(-step, grad, yk)
-			linalg.SoftThreshold4(alpha, yk, opt.Lambda/opt.Lipschitz)
-		} else {
-			linalg.Axpy(-step, grad, yk)
-			linalg.SoftThreshold(alpha, yk, opt.Lambda/opt.Lipschitz)
-		}
-		// t_{k+1}, Eq. (5).
+		// t_{k+1}, Eq. (5), and the momentum weight of Eq. (6).
 		tNext := (1 + T(math.Sqrt(float64(1+4*tk*tk)))) / 2
-		// y_{k+1} = α_k + ((t_k−1)/t_{k+1})(α_k − α_{k−1}), Eq. (6).
 		beta := (tk - 1) / tNext
-		if st.vec {
-			linalg.Combine4(yk, alpha, alphaPrev, beta)
-		} else {
-			for i := range yk {
-				yk[i] = alpha[i] + beta*(alpha[i]-alphaPrev[i])
-			}
-		}
+		// α_k = prox_{λ/L}(y_k − (1/L)∇f(y_k)), Eq. (4), and
+		// y_{k+1} = α_k + β(α_k − α_{k−1}), Eq. (6), in one pass.
+		p := pass(alpha, alphaPrev, yk, grad, step, thr, beta, opt.Tol >= 0)
 		tk = tNext
+		if p.Restart > 0 {
+			// Gradient-scheme adaptive restart (O'Donoghue & Candès
+			// 2015): the momentum step went uphill, so drop it.
+			tk = 1
+			copy(yk, alpha)
+		}
 		res.Iterations = k
 		if opt.Monitor != nil {
 			opt.Monitor(k, st.objective(alpha, opt.Lambda))
@@ -177,7 +181,7 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 				Step:      float64(stepNorm(alpha, alphaPrev)),
 			})
 		}
-		if st.converged(alpha, alphaPrev, opt.Tol) {
+		if stopped(p.Norm, p.Step, opt.Tol) {
 			res.Converged = true
 			copy(alphaPrev, alpha)
 			break
@@ -188,7 +192,7 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 			break
 		}
 		// Swap roles: α_k becomes α_{k−1}; the old buffer is fully
-		// overwritten by the next prox step.
+		// overwritten by the next update pass.
 		alpha, alphaPrev = alphaPrev, alpha
 	}
 	// alphaPrev holds the last iterate after the final swap (or the
@@ -297,8 +301,9 @@ func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T]
 	return st, nil
 }
 
-// gradient computes ∇f(x) = 2·Aᵀ(Ax − y) into dst.
-func (st *state[T]) gradient(dst, x []T) {
+// halfGradient computes ½∇f(x) = Aᵀ(Ax − y) into dst, leaving the
+// residual Ax − y in st.r.
+func (st *state[T]) halfGradient(dst, x []T) {
 	st.a.Apply(st.r, x)
 	if st.vec {
 		linalg.Sub4(st.r, st.r, st.y)
@@ -306,6 +311,11 @@ func (st *state[T]) gradient(dst, x []T) {
 		linalg.Sub(st.r, st.r, st.y)
 	}
 	st.a.ApplyT(dst, st.r)
+}
+
+// gradient computes ∇f(x) = 2·Aᵀ(Ax − y) into dst.
+func (st *state[T]) gradient(dst, x []T) {
+	st.halfGradient(dst, x)
 	if st.vec {
 		linalg.Axpy4(1, dst, dst) // ×2 via dst += dst
 	} else {
@@ -335,9 +345,5 @@ func (st *state[T]) converged(cur, prev []T, tol float64) bool {
 	if tol < 0 {
 		return false
 	}
-	den := float64(linalg.Norm2(cur))
-	if den < 1 {
-		den = 1
-	}
-	return float64(linalg.DistNorm2(cur, prev))/den < tol
+	return stopped(linalg.Norm2(cur), linalg.DistNorm2(cur, prev), tol)
 }
