@@ -105,7 +105,7 @@ bench:
 # the CI regression comparison against the committed baseline (fails on
 # >15% normalized growth — see internal/bench).
 perf:
-	$(GO) run ./cmd/csecg-bench -json BENCH_14.json
+	$(GO) run ./cmd/csecg-bench -json BENCH_13.json
 
 perf-gate:
-	$(GO) run ./cmd/csecg-bench -compare BENCH_14.json
+	$(GO) run ./cmd/csecg-bench -compare BENCH_13.json

@@ -19,7 +19,7 @@
 // Performance tracking:
 //
 //	csecg-bench -json BENCH.json                  # machine-readable perf suite
-//	csecg-bench -compare BENCH_14.json            # fail on >15% normalized regression
+//	csecg-bench -compare BENCH_13.json            # fail on >15% normalized regression
 //
 // Robustness:
 //

@@ -145,7 +145,7 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 	step, thr := 1/opt.Lipschitz, opt.Lambda/opt.Lipschitz
 	pass := fistaStep[T]
 	if st.vec {
-		pass = fistaStep4[T]
+		pass = fistaStepFused[T]
 	}
 	for k := 1; k <= opt.MaxIter; k++ {
 		// grad holds the half-gradient Aᵀ(Ay_k − y); the update pass

@@ -19,8 +19,8 @@ type fistaPass[T linalg.Float] struct {
 	Norm, Step T
 }
 
-// fistaStep4 is the NEON-shaped FISTA update: one 4-wide pass over the
-// coefficients that, for each i,
+// fistaStepFused is the NEON-shaped FISTA update: one branch-free pass
+// over the coefficients that, for each i,
 //
 //   - doubles the half-gradient h = Aᵀ(Ay_k − y) into ∇f(y_k) = h + h,
 //   - takes the step y_k − ∇f/L and shrinks it branch-free into α_k,
@@ -32,47 +32,11 @@ type fistaPass[T linalg.Float] struct {
 // Each sum runs in index order with one accumulator and divides by its
 // max, exactly as linalg.Norm2 does, so the stopping rule sees the same
 // bits as the two-kernel form it replaces.
-func fistaStep4[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
+func fistaStepFused[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
 	n := len(alpha)
 	alphaPrev, yk, half = alphaPrev[:n], yk[:n], half[:n]
 	var ip, maxA, maxD T
-	n4 := n &^ 3
-	for i := 0; i < n4; i += 4 {
-		y0 := yk[i]
-		a0 := linalg.ShrinkBranchless(y0-step*(half[i]+half[i]), thr)
-		d0 := a0 - alphaPrev[i]
-		ip += (y0 - a0) * d0
-		yk[i] = a0 + beta*d0
-		alpha[i] = a0
-		maxA = maxAbs(maxA, a0)
-		maxD = maxAbs(maxD, d0)
-		y1 := yk[i+1]
-		a1 := linalg.ShrinkBranchless(y1-step*(half[i+1]+half[i+1]), thr)
-		d1 := a1 - alphaPrev[i+1]
-		ip += (y1 - a1) * d1
-		yk[i+1] = a1 + beta*d1
-		alpha[i+1] = a1
-		maxA = maxAbs(maxA, a1)
-		maxD = maxAbs(maxD, d1)
-		y2 := yk[i+2]
-		a2 := linalg.ShrinkBranchless(y2-step*(half[i+2]+half[i+2]), thr)
-		d2 := a2 - alphaPrev[i+2]
-		ip += (y2 - a2) * d2
-		yk[i+2] = a2 + beta*d2
-		alpha[i+2] = a2
-		maxA = maxAbs(maxA, a2)
-		maxD = maxAbs(maxD, d2)
-		y3 := yk[i+3]
-		a3 := linalg.ShrinkBranchless(y3-step*(half[i+3]+half[i+3]), thr)
-		d3 := a3 - alphaPrev[i+3]
-		ip += (y3 - a3) * d3
-		yk[i+3] = a3 + beta*d3
-		alpha[i+3] = a3
-		maxA = maxAbs(maxA, a3)
-		maxD = maxAbs(maxD, d3)
-	}
-	for i := n4; i < n; i++ { // peeled tail
-		y := yk[i]
+	for i, y := range yk {
 		a := linalg.ShrinkBranchless(y-step*(half[i]+half[i]), thr)
 		d := a - alphaPrev[i]
 		ip += (y - a) * d
@@ -89,9 +53,10 @@ func fistaStep4[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta 
 }
 
 // fistaStep is the VFP-shaped FISTA update: the same maths as
-// fistaStep4 in plain loops with the branchy soft threshold. The step
-// point u = y_k − ∇f/L lands in half, so y_k survives the shrinkage for
-// the restart product and is overwritten by y_{k+1} only afterwards.
+// fistaStepFused in separate loops with the branchy soft threshold. The
+// step point u = y_k − ∇f/L lands in half, so y_k survives the
+// shrinkage for the restart product and is overwritten by y_{k+1} only
+// afterwards.
 func fistaStep[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
 	for i, h := range half {
 		half[i] = yk[i] - step*(h+h)

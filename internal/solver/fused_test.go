@@ -50,7 +50,7 @@ func checkStepNorms[T linalg.Float](t *testing.T, n int, thr T) {
 	yk2, half2 := append([]T(nil), yk...), append([]T(nil), half...)
 	alpha, alpha2 := make([]T, n), make([]T, n)
 	const step, beta = 0.75, 0.6
-	p := fistaStep4(alpha, alphaPrev, yk, half, step, thr, beta, true)
+	p := fistaStepFused(alpha, alphaPrev, yk, half, step, thr, beta, true)
 	if got, want := p.Norm, linalg.Norm2(alpha); bits(got) != bits(want) {
 		t.Errorf("%T n=%d thr=%v: fused ‖α‖ = %v, Norm2 = %v", thr, n, thr, got, want)
 	}
@@ -69,8 +69,8 @@ func checkStepNorms[T linalg.Float](t *testing.T, n int, thr T) {
 }
 
 // TestFISTAStepNormsMatchKernels pins the fused pass's stopping values
-// to the kernels the stopping rule is defined by, over lengths that hit
-// the 4-wide tail. The large threshold shrinks α_k and α_{k−1} to ±0
+// to the kernels the stopping rule is defined by, over empty, short and
+// window-sized lengths. The large threshold shrinks α_k and α_{k−1} to ±0
 // everywhere, so both norms take the zero-max path.
 func TestFISTAStepNormsMatchKernels(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 7, 64, 511, 512} {
