@@ -94,9 +94,13 @@ triage-smoke:
 
 # trace-smoke renders the transport experiment's span trees as a Chrome
 # trace plus a metrics dump; csecg-bench fails if any session lost a
-# tree to the retention cap (DESIGN.md §9).
+# tree to the retention cap (DESIGN.md §9). The same trees as trace
+# JSONL go through csecg-triage, so the tiling check also covers
+# RunStream's timeline (DESIGN.md §14).
 trace-smoke:
-	$(GO) run ./cmd/csecg-bench -exp transport -seconds 6 -trace trace-smoke.json -metrics metrics-smoke.prom
+	rm -f trace-smoke.jsonl
+	$(GO) run ./cmd/csecg-bench -exp transport -seconds 6 -trace trace-smoke.json -metrics metrics-smoke.prom -spans trace-smoke.jsonl
+	$(GO) run ./cmd/csecg-triage trace-smoke.jsonl
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -238,10 +238,6 @@ func NewManualClock(start int64) *ManualClock { return telemetry.NewManualClock(
 // WriteMetrics dumps a registry in the Prometheus text format.
 func WriteMetrics(w io.Writer, m *Metrics) error { return telemetry.WritePrometheus(w, m) }
 
-// PipelineStages lists the per-window lifecycle stage names in pipeline
-// order (sample … reconstruct), the keys of StreamReport.Stages.
-func PipelineStages() []string { return telemetry.Stages() }
-
 // Causal span tracing: hierarchical per-window span trees with tail
 // sampling and critical-path attribution (DESIGN.md §14).
 type (

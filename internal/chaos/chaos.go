@@ -9,6 +9,11 @@
 // Every run is deterministic: the faults come from the seeded channel
 // model and the injectors below, the clocks are modeled, and nothing
 // reads wall time or global randomness.
+//
+// With Scenario.Spans set, each window's causal span tree is built on
+// the harness's slot-granular clock and closed by the same
+// coordinator.SpanCloser as RunStream's, so chaos trees carry the same
+// solver stage/i children, flags (crc included) and timeline latency.
 package chaos
 
 import (
@@ -91,10 +96,12 @@ type Scenario struct {
 	// Spans, when non-nil, captures each decoded window's causal span
 	// tree on the harness's slot-granular modeled timeline: link-transit
 	// (acquisition end → delivery slot), queue-wait (slots a bounded
-	// decode budget deferred the window), the solver rung and
-	// reconstruction. The harness has no decode-core serialization, so
-	// queue-wait reflects only the DecodesPerSlot deferral — attribution
-	// under a solver slowdown names the solver, truthfully.
+	// decode budget deferred the window), then the shared close step —
+	// the solver rung with its continuation stage/i children,
+	// reconstruction, and the anomaly flags, crc included. The harness
+	// has no decode-core serialization, so queue-wait reflects only the
+	// DecodesPerSlot deferral — attribution under a solver slowdown
+	// names the solver, truthfully.
 	Spans *telemetry.CausalTracer
 }
 
@@ -270,12 +277,7 @@ func Run(sc Scenario) (*Report, error) {
 
 	spans := sc.Spans
 	if spans != nil {
-		rx.SetTraceSeed(spans.Seed())
-		rx.SetShedHook(func(seq uint32) {
-			if wt := spans.Lookup(seq); wt != nil {
-				spans.FinishDropped(wt, telemetry.FlagShed)
-			}
-		})
+		rx.SetTracer(spans)
 	}
 
 	var rec *blackbox.Recorder
@@ -310,12 +312,12 @@ func Run(sc Scenario) (*Report, error) {
 	// Span-tree timeline model: modelNow is the slot-granular modeled
 	// time of the deliver pass currently scoring; planArrive maps each
 	// sequence to its scheduled delivery-slot end. The harness has no
-	// per-frame clock, so leaves tile [acquisition end, decode end) at
-	// slot granularity and the recorded latency is their sum.
+	// per-frame clock, so its wait leaves tile [acquisition end, decode
+	// start) at slot granularity.
 	reconstructNs := int64(coordinator.DefaultCosts().IterationTime(dec.Params(), coordinator.VFP))
+	closer := coordinator.NewSpanCloser(spans, rx, reconstructNs)
 	var modelNow int64
 	planArrive := map[uint32]int64{}
-	lastRung := coordinator.RungNominal
 
 	var decodeNs []int64
 	score := func(out []coordinator.Decoded) {
@@ -329,13 +331,14 @@ func Run(sc Scenario) (*Report, error) {
 				rep.MaxRung = d.Res.Rung
 			}
 			if spans != nil {
-				if wt := spans.Lookup(d.Seq); wt != nil {
+				wt := spans.Lookup(d.Seq)
+				decodeAt := modelNow
+				if wt != nil {
 					acqEnd := wt.FrontierNs()
 					arrive := planArrive[d.Seq]
 					if arrive < acqEnd {
 						arrive = acqEnd
 					}
-					decodeAt := modelNow
 					if decodeAt < arrive {
 						decodeAt = arrive
 					}
@@ -343,26 +346,8 @@ func Run(sc Scenario) (*Report, error) {
 					if decodeAt > arrive {
 						wt.Leaf(telemetry.StageQueueWait, arrive, decodeAt-arrive)
 					}
-					fistaNs := int64(d.Res.ModeledTime)
-					wt.SolverLeaf(d.Res.Rung.SolverStage(), decodeAt, fistaNs, int(d.Res.Rung))
-					wt.Leaf(telemetry.StageReconstruct, decodeAt+fistaNs, reconstructNs)
-					if d.Res.Rung != lastRung {
-						wt.MarkRungChange(decodeAt, int(d.Res.Rung))
-					}
-					var flags uint32
-					if d.Bad {
-						flags |= telemetry.FlagBad
-					}
-					if d.Res.Degraded {
-						flags |= telemetry.FlagDegraded
-					}
-					if d.Res.DeadlineExpired {
-						flags |= telemetry.FlagDeadline
-					}
-					wt.Mark(flags)
-					spans.Finish(wt, int(d.Res.Rung), wt.LeafSumNs())
 				}
-				lastRung = d.Res.Rung
+				closer.Close(wt, d, decodeAt)
 			}
 			if slo != nil {
 				bad := d.Bad

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"csecg/internal/coordinator"
+	"csecg/internal/telemetry"
 )
 
 // TestChaosMatrixDegradesGracefully pins the acceptance criterion: the
@@ -85,5 +86,66 @@ func TestChaosRunDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("non-deterministic run:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestChaosSpanTreesMatchStreamTrees: the harness closes its span trees
+// with RunStream's close step, so the cold start's continuation solve
+// carries stage/i children that tile its solver leaf exactly, and the
+// window finishing after a CRC reject carries the crc flag.
+func TestChaosSpanTreesMatchStreamTrees(t *testing.T) {
+	var sc Scenario
+	for _, s := range Matrix(true) {
+		if s.Name == "bitflip" {
+			sc = s
+		}
+	}
+	spans := telemetry.NewCausalTracer(telemetry.CausalConfig{
+		Label: "chaos " + sc.Name, RetainAnomalous: 512, RetainAll: true,
+	})
+	sc.Spans = spans
+	rep, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CRCRejected == 0 {
+		t.Fatal("bitflip scenario rejected no frames")
+	}
+	var continued, crc int
+	for _, r := range spans.Records() {
+		for _, f := range r.Flags {
+			if f == "crc" {
+				crc++
+			}
+		}
+		for si, solve := range r.Spans {
+			end := solve.StartNs
+			children := 0
+			for _, c := range r.Spans {
+				if c.Parent != si || si == 0 {
+					continue
+				}
+				if c.Stage != telemetry.ContStageName(children) || c.StartNs != end {
+					t.Errorf("window %d: child %q at %d, want %q at %d",
+						r.Seq, c.Stage, c.StartNs, telemetry.ContStageName(children), end)
+				}
+				end += c.DurNs
+				children++
+			}
+			if children == 0 {
+				continue
+			}
+			continued++
+			if end != solve.StartNs+solve.DurNs {
+				t.Errorf("window %d: stage/i children end at %d, solver leaf %q ends at %d",
+					r.Seq, end, solve.Stage, solve.StartNs+solve.DurNs)
+			}
+		}
+	}
+	if continued == 0 {
+		t.Error("no chaos tree has continuation stage/i children")
+	}
+	if crc == 0 || crc > rep.CRCRejected {
+		t.Errorf("%d trees flagged crc for %d CRC rejects", crc, rep.CRCRejected)
 	}
 }

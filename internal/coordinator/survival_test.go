@@ -120,10 +120,13 @@ func TestIngestFrameRejectsCorruption(t *testing.T) {
 // first, and keep the key frame so the stream stays decodable.
 func TestAdmissionQueueShedsOldestNonKey(t *testing.T) {
 	enc, rx := survivalRig(t, 16, TransportConfig{QueueLimit: 4, DecodesPerSlot: 1, ReorderWindow: 64})
+	spans := telemetry.NewCausalTracer(telemetry.CausalConfig{Label: "shed", RetainAll: true})
+	rx.SetTracer(spans)
 	pkts := encodeN(t, enc, 12)
 	// Burst: all 12 windows arrive within one slot while the decoder can
 	// retire only one per slot.
 	for _, p := range pkts {
+		spans.Begin(p.Seq).Root(0)
 		push(t, rx, p)
 	}
 	st := rx.Stats()
@@ -132,6 +135,16 @@ func TestAdmissionQueueShedsOldestNonKey(t *testing.T) {
 	}
 	if st.Shed == 0 {
 		t.Fatal("burst over a full queue shed nothing")
+	}
+	// The receiver finishes each shed window's partial trace as dropped.
+	shed := 0
+	for _, w := range spans.Retained() {
+		if w.Flags&telemetry.FlagShed != 0 {
+			shed++
+		}
+	}
+	if shed != st.Shed {
+		t.Fatalf("%d traces flagged shed, receiver shed %d windows", shed, st.Shed)
 	}
 	decoded := 0
 	for i := 0; i < 32; i++ {

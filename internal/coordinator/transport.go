@@ -167,6 +167,99 @@ type Decoded struct {
 	Bad     bool
 }
 
+// SpanCloser is the one close step of a decoded window's causal span
+// tree (DESIGN.md §14), shared by every streaming loop over a
+// Receiver (RunStream and the chaos harness). The caller records its
+// own wait leaves up to the decode start, because each loop keeps its
+// own clock; Close records the rest.
+type SpanCloser struct {
+	spans         *telemetry.CausalTracer
+	rx            *Receiver
+	reconstructNs int64
+	lastRung      Rung
+	lastCRC       int
+}
+
+// NewSpanCloser closes trees into spans. rx supplies the CRC-reject
+// count; reconstructNs is the modeled reconstruct time of one window.
+func NewSpanCloser(spans *telemetry.CausalTracer, rx *Receiver, reconstructNs int64) *SpanCloser {
+	return &SpanCloser{spans: spans, rx: rx, reconstructNs: reconstructNs}
+}
+
+// Close records d's solver leaf from startNs, with its continuation
+// stage/i children and downsampled iteration points, then the
+// reconstruct leaf, the rung-change marker and the anomaly flags, and
+// finishes wt with latency = decode end − acquisition end (the root's
+// start). The latency comes from the timeline, not from the leaves, so
+// a gap the caller leaves in the tiling shows up in triage. A nil wt
+// (an untraced window, or one whose ring slot was reused) only
+// advances the rung state.
+func (c *SpanCloser) Close(wt *telemetry.WindowTrace, d Decoded, startNs int64) {
+	res := d.Res
+	lastRung := c.lastRung
+	c.lastRung = res.Rung
+	if wt == nil {
+		return
+	}
+	fistaNs := int64(res.ModeledTime)
+	si := wt.SolverLeaf(res.Rung.SolverStage(), startNs, fistaNs, int(res.Rung))
+	if iters := res.StageIters; len(iters) > 1 && res.Iterations > 0 && si >= 0 {
+		// Continuation sub-stages split the solve span proportionally to
+		// per-stage iteration counts; the last absorbs the rounding
+		// remainder.
+		off := startNs
+		rem := fistaNs
+		for i, it := range iters {
+			durS := rem
+			if i < len(iters)-1 {
+				durS = int64(float64(fistaNs) * float64(it) / float64(res.Iterations))
+				if durS > rem {
+					durS = rem
+				}
+			}
+			wt.Child(si, telemetry.ContStageName(i), off, durS)
+			off += durS
+			rem -= durS
+		}
+	}
+	if n := len(res.IterTrace); n > 0 {
+		// Downsample the iteration trace, spread evenly across the solve
+		// span.
+		stride := (n + telemetry.MaxIterPoints - 1) / telemetry.MaxIterPoints
+		for i := 0; i < n; i += stride {
+			it := res.IterTrace[i]
+			wt.Iteration(telemetry.IterPoint{
+				AtNs:      startNs + int64(float64(fistaNs)*float64(i)/float64(n)),
+				Objective: it.Objective, Residual: it.Residual, Step: it.Step,
+			})
+		}
+	}
+	endNs := startNs + fistaNs + c.reconstructNs
+	wt.Leaf(telemetry.StageReconstruct, startNs+fistaNs, c.reconstructNs)
+	if res.Rung != lastRung {
+		wt.MarkRungChange(startNs, int(res.Rung))
+	}
+	var flags uint32
+	if d.Bad {
+		flags |= telemetry.FlagBad
+	}
+	if res.Degraded {
+		flags |= telemetry.FlagDegraded
+	}
+	if res.DeadlineExpired {
+		flags |= telemetry.FlagDeadline
+	}
+	// Frame-level CRC rejects carry no trustworthy sequence number, so
+	// integrity trouble is attributed to the window finishing when the
+	// reject counter moved.
+	if rej := c.rx.stats.Rejected; rej > c.lastCRC {
+		flags |= telemetry.FlagCRC
+		c.lastCRC = rej
+	}
+	wt.Mark(flags)
+	c.spans.Finish(wt, int(res.Rung), endNs-wt.Spans()[0].StartNs)
+}
+
 // gapState tracks one stall episode.
 type gapState struct {
 	openedSlot int
@@ -285,9 +378,9 @@ type Receiver struct {
 	ordinal  int64
 	panicked bool
 	// traceSeed derives per-window causal trace IDs for WindowCapture
-	// (0 → untraced); shedHook, when set, observes admission-queue sheds.
+	// (0 → untraced); spans, when set, is the session's span tracer.
 	traceSeed uint64
-	shedHook  func(seq uint32)
+	spans     *telemetry.CausalTracer
 
 	stats TransportStats
 	met   *transportMetrics
@@ -369,11 +462,14 @@ func (r *Receiver) SetRecorder(rec FlightRecorder) { r.rec = rec }
 // disables trace stamping.
 func (r *Receiver) SetTraceSeed(seed uint64) { r.traceSeed = seed }
 
-// SetShedHook installs an observer for admission-queue sheds, called
-// with the shed window's sequence number before the packet is dropped —
-// the span tracer retains the partial trace of a window that will never
-// decode. Install before streaming starts.
-func (r *Receiver) SetShedHook(hook func(seq uint32)) { r.shedHook = hook }
+// SetTracer attaches the session's causal span tracer: released
+// windows are stamped with its trace IDs (SetTraceSeed of its seed),
+// and a window the admission queue sheds has its partial tree finished
+// as dropped, since it will never decode. Install before streaming.
+func (r *Receiver) SetTracer(spans *telemetry.CausalTracer) {
+	r.spans = spans
+	r.traceSeed = spans.Seed()
+}
 
 // ResumeAt positions a fresh receiver mid-stream for bundle replay: the
 // next expected sequence number and the slot-grid origin of a bundle
@@ -599,8 +695,10 @@ func (r *Receiver) admit(pkt *core.Packet) {
 		if drop < 0 {
 			drop = 0
 		}
-		if r.shedHook != nil {
-			r.shedHook(r.queue[drop].Seq)
+		if r.spans != nil {
+			if wt := r.spans.Lookup(r.queue[drop].Seq); wt != nil {
+				r.spans.FinishDropped(wt, telemetry.FlagShed)
+			}
 		}
 		r.queue = append(r.queue[:drop], r.queue[drop+1:]...)
 		r.stats.Shed++

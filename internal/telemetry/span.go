@@ -22,10 +22,10 @@ import (
 // degraded, deadline-cut, retransmitted, rung-changed, shed, CRC-hit
 // slots) plus a top-k latency reservoir.
 
-// Causal span stage names beyond the flat window-lifecycle stages of
-// window.go. Gap stages make the tiling exact: whenever pipeline
-// stations idle between productive stages, the wait itself becomes a
-// leaf, so nothing on the critical path hides between spans.
+// Causal span stage names of the window lifecycle. Gap stages make the
+// tiling exact: whenever pipeline stations idle between productive
+// stages, the wait itself becomes a leaf, so nothing on the critical
+// path hides between spans.
 const (
 	// StageWindow is the root span of a window's trace: acquisition end
 	// to reconstruction available — its duration is the decode latency.
@@ -34,6 +34,17 @@ const (
 	// encode/transmit (or retransmit service) is still holding the CPU
 	// past this window's acquisition end.
 	StageEncodeWait = "encode-wait"
+	// StageCSSample is the sparse-binary CS measurement (the paper's
+	// 82 ms stage) including the rounding shift.
+	StageCSSample = "cs-sample"
+	// StageDiff is the inter-packet difference stage (zero-length on
+	// key frames).
+	StageDiff = "diff"
+	// StageHuffman is the entropy-coding stage (zero-length on key
+	// frames).
+	StageHuffman = "huffman"
+	// StageTX is packet framing plus radio airtime.
+	StageTX = "tx"
 	// StageRetransmitWait is the gap between a destroyed transmission
 	// and the NACK-driven retransmit leaving the mote's ring.
 	StageRetransmitWait = "retransmit-wait"
@@ -43,9 +54,15 @@ const (
 	// StageLinkTransit is time in flight or held by the channel's
 	// reorder model between transmit end and coordinator arrival.
 	StageLinkTransit = "link-transit"
+	// StageReassemble is the reorder-buffer hold between arrival and
+	// in-order release to the decoder.
+	StageReassemble = "reassemble"
 	// StageQueueWait is admission-queue deferral at the coordinator
 	// (a window admitted but decoded in a later slot).
 	StageQueueWait = "queue-wait"
+	// StageReconstruct is the inverse transform and requantization that
+	// hands samples to the display.
+	StageReconstruct = "reconstruct"
 	// StageRungChange is a zero-duration marker leaf recorded when the
 	// degradation ladder moved between the previous decode and this one;
 	// Span.Rung carries the new rung.

@@ -3,9 +3,11 @@ package triage
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"csecg/internal/chaos"
 	"csecg/internal/coordinator"
+	"csecg/internal/core"
 	"csecg/internal/telemetry"
 )
 
@@ -169,5 +171,39 @@ func TestSlowdownAttributionNamesSolver(t *testing.T) {
 	}
 	if !strings.Contains(report.Verdict, "solver stage") {
 		t.Errorf("verdict %q does not name a solver stage", report.Verdict)
+	}
+}
+
+// TestTilingCheckCatchesCloseStepGap: the shared close step takes a
+// window's latency from the timeline (decode end − acquisition end),
+// not from the leaves, so a caller whose wait leaves stop 1 ns short of
+// the decode start fails the tiling check.
+func TestTilingCheckCatchesCloseStepGap(t *testing.T) {
+	const acqEnd, start = 2_000_000_000, 2_050_000_000
+	for _, gap := range []int64{0, 1} {
+		spans := telemetry.NewCausalTracer(telemetry.CausalConfig{Label: "gap", RetainAll: true})
+		closer := coordinator.NewSpanCloser(spans, coordinator.NewReceiver(nil, coordinator.TransportConfig{}), 300_000)
+		wt := spans.Begin(3)
+		wt.Root(acqEnd)
+		wt.Leaf(telemetry.StageLinkTransit, acqEnd, start-acqEnd-gap)
+		res := &coordinator.Result{DecodeResult: &core.DecodeResult[float32]{}, ModeledTime: 40 * time.Millisecond}
+		closer.Close(wt, coordinator.Decoded{Seq: 3, Res: res}, start)
+
+		rep := Analyze(spans.Records(), Options{MaxDivergence: 1e-12})
+		if gap == 0 {
+			if !rep.Clean {
+				t.Fatalf("gapless tree fails the tiling check: %s", rep.Verdict)
+			}
+			continue
+		}
+		if rep.Clean || rep.DivergentCount != 1 {
+			t.Fatalf("1 ns gap passed the tiling check: %s", rep.Verdict)
+		}
+		if d := rep.Divergent[0]; d.LatencyNs-d.LeafSumNs != gap {
+			t.Errorf("divergent trace: latency %d, leaf sum %d, want a %d ns gap", d.LatencyNs, d.LeafSumNs, gap)
+		}
+		if !strings.Contains(rep.Verdict, "ATTRIBUTION SUSPECT") {
+			t.Errorf("verdict %q does not flag the divergence", rep.Verdict)
+		}
 	}
 }

@@ -47,9 +47,9 @@ type StreamConfig struct {
 	RetransmitRing int
 	// Metrics, when non-nil, attaches every pipeline component to the
 	// registry: mote/link/transport/coordinator counters and histograms
-	// plus the stream-level stage-duration and decode-latency series.
-	// When nil, a private registry is kept so the report's distribution
-	// summaries are populated either way.
+	// plus the stream-level decode-latency series. It may be shared by
+	// several sessions; the report's distribution summaries always
+	// cover this session alone.
 	Metrics *telemetry.Registry
 	// Spans, when non-nil, captures every window's hierarchical causal
 	// span tree on the modeled timeline: trace-ID-stamped spans from
@@ -138,10 +138,6 @@ type StreamReport struct {
 	// LinkStats and ControlStats snapshot the fault counters of the
 	// data downlink and the control uplink.
 	LinkStats, ControlStats link.Stats
-	// Stages summarizes the modeled per-stage durations in nanoseconds
-	// across the session, keyed by the telemetry stage names (sample,
-	// cs-sample, diff, huffman, tx, rx, reassemble, fista, reconstruct).
-	Stages map[string]telemetry.Summary
 	// DecodeLatency is the per-window recovery latency distribution in
 	// nanoseconds: end of the window's acquisition to reconstruction
 	// available, including reorder/retransmit slot delays — the
@@ -211,12 +207,7 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 		// One seed derives every window's trace ID identically across the
 		// span tracer, the receiver's flight-recorder captures and the
 		// monitor's /sessions links.
-		rx.SetTraceSeed(spans.Seed())
-		rx.SetShedHook(func(seq uint32) {
-			if wt := spans.Lookup(seq); wt != nil {
-				spans.FinishDropped(wt, telemetry.FlagShed)
-			}
-		})
+		rx.SetTracer(spans)
 	}
 
 	reg := cfg.Metrics
@@ -244,11 +235,10 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	if spans != nil && spans.RetainsAll() {
 		dec.EnableIterationTrace()
 	}
-	stageHist := make(map[string]*telemetry.Histogram, len(telemetry.Stages()))
-	for _, s := range telemetry.Stages() {
-		stageHist[s] = reg.Histogram("stream_stage_" + s + "_ns")
-	}
+	// The registry may be shared across sessions; the report summarizes
+	// this session's windows only.
 	latHist := reg.Histogram("stream_decode_latency_ns")
+	var sessLat, sessIters telemetry.Histogram
 
 	rep := &StreamReport{}
 	var rawBits, compBits int
@@ -256,7 +246,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	var prCount int
 	var sumEst float64
 	var estCount int
-	var sumIters int64
 	var decodeTimes []float64
 	var sumDecode time.Duration
 	n := cfg.Params.N
@@ -272,17 +261,15 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	windowNs := int64(float64(n) / FsMote * float64(time.Second))
 	cyclesToNs := func(c int64) int64 { return c * int64(time.Second) / mote.ClockHz }
 	reconstructNs := int64(coordinator.DefaultCosts().IterationTime(dec.Params(), cfg.Mode))
+	closer := coordinator.NewSpanCloser(spans, rx, reconstructNs)
 	var nowNs, decodeFreeAt int64
 	rxAt := map[uint32]int64{}      // per-seq arrival time of the delivered frame
 	retxAttempt := map[uint32]int{} // per-seq NACK retransmission attempts served
-	lastRung := coordinator.RungNominal
-	lastCRC := 0
 
 	// Windows indexed by sequence number, for scoring late releases.
 	var wins [][]int16
 	score := func(out []coordinator.Decoded) {
 		for _, d := range out {
-			sumIters += int64(d.Res.Iterations)
 			sumDecode += d.Res.ModeledTime
 			decodeTimes = append(decodeTimes, d.Res.ModeledTime.Seconds())
 
@@ -298,82 +285,26 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 			if decodeFreeAt > start {
 				start = decodeFreeAt
 			}
-			fistaNs := int64(d.Res.ModeledTime)
-			decodeFreeAt = start + fistaNs + reconstructNs
-			stageHist[telemetry.StageReassemble].Observe(start - arrive)
-			stageHist[telemetry.StageFISTA].Observe(fistaNs)
-			stageHist[telemetry.StageReconstruct].Observe(reconstructNs)
+			decodeFreeAt = start + int64(d.Res.ModeledTime) + reconstructNs
 			// Per-window recovery latency: acquisition end → samples ready.
 			latency := decodeFreeAt - (int64(d.Seq)+1)*windowNs
 			latHist.Observe(latency)
+			sessLat.Observe(latency)
+			sessIters.Observe(int64(d.Res.Iterations))
 			if spans != nil {
-				if wt := spans.Lookup(d.Seq); wt != nil {
-					// Close the causal tree: the depth-1 leaves must tile
-					// [acquisition end, decodeFreeAt) exactly, so the gap
-					// between the transmit frontier and the frame's arrival
-					// becomes an explicit link-transit span.
+				wt := spans.Lookup(d.Seq)
+				if wt != nil {
+					// The depth-1 leaves must tile [acquisition end,
+					// decodeFreeAt) exactly, so the gap between the
+					// transmit frontier and the frame's arrival becomes an
+					// explicit link-transit span.
 					if f := wt.FrontierNs(); arrive > f {
 						wt.Leaf(telemetry.StageLinkTransit, f, arrive-f)
 					}
 					wt.Leaf(telemetry.StageReassemble, arrive, start-arrive)
-					si := wt.SolverLeaf(d.Res.Rung.SolverStage(), start, fistaNs, int(d.Res.Rung))
-					if iters := d.Res.StageIters; len(iters) > 1 && d.Res.Iterations > 0 && si >= 0 {
-						// Continuation sub-stages split the solve span
-						// proportionally to per-stage iteration counts; the
-						// last absorbs the rounding remainder.
-						off := start
-						rem := fistaNs
-						for i, it := range iters {
-							durS := rem
-							if i < len(iters)-1 {
-								durS = int64(float64(fistaNs) * float64(it) / float64(d.Res.Iterations))
-								if durS > rem {
-									durS = rem
-								}
-							}
-							wt.Child(si, telemetry.ContStageName(i), off, durS)
-							off += durS
-							rem -= durS
-						}
-					}
-					if n := len(d.Res.IterTrace); n > 0 {
-						// Downsample the iteration trace, spread evenly
-						// across the solve span.
-						stride := (n + telemetry.MaxIterPoints - 1) / telemetry.MaxIterPoints
-						for i := 0; i < n; i += stride {
-							it := d.Res.IterTrace[i]
-							wt.Iteration(telemetry.IterPoint{
-								AtNs:      start + int64(float64(fistaNs)*float64(i)/float64(n)),
-								Objective: it.Objective, Residual: it.Residual, Step: it.Step,
-							})
-						}
-					}
-					wt.Leaf(telemetry.StageReconstruct, start+fistaNs, reconstructNs)
-					if d.Res.Rung != lastRung {
-						wt.MarkRungChange(start, int(d.Res.Rung))
-					}
-					var flags uint32
-					if d.Bad {
-						flags |= telemetry.FlagBad
-					}
-					if d.Res.Degraded {
-						flags |= telemetry.FlagDegraded
-					}
-					if d.Res.DeadlineExpired {
-						flags |= telemetry.FlagDeadline
-					}
-					// Frame-level CRC rejects carry no trustworthy sequence
-					// number, so integrity trouble is attributed to the
-					// window finishing when the reject counter moved.
-					if rej := rx.Stats().Rejected; rej > lastCRC {
-						flags |= telemetry.FlagCRC
-						lastCRC = rej
-					}
-					wt.Mark(flags)
-					spans.Finish(wt, int(d.Res.Rung), latency)
 				}
+				closer.Close(wt, d, start)
 			}
-			lastRung = d.Res.Rung
 			sumEst += d.EstPRDN
 			estCount++
 			if d.Bad {
@@ -424,16 +355,15 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	}
 	// deliver runs every wire frame the channel produced through the
 	// receiver's integrity check and reassembly; a CRC-rejected frame is
-	// counted and dropped like a channel loss. rxEnd/durNs place the
-	// arrival on the modeled timeline.
-	deliver := func(frames [][]byte, rxEnd, durNs int64) error {
+	// counted and dropped like a channel loss. rxEnd places the arrival
+	// on the modeled timeline.
+	deliver := func(frames [][]byte, rxEnd int64) error {
 		for _, f := range frames {
 			p, err := rx.ParseFrame(f)
 			if err != nil {
 				continue // corrupt on the wire: rejected at ingest
 			}
 			rxAt[p.Seq] = rxEnd
-			stageHist[telemetry.StageRX].Observe(durNs)
 			out, err := rx.Push(p)
 			if err != nil {
 				return err
@@ -478,7 +408,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 					return err
 				}
 				rep.RetransmitAirtime += lnk.Stats().Airtime - before
-				stageHist[telemetry.StageTX].Observe(txNs)
 				if spans != nil {
 					if wt := spans.Lookup(pkt.Seq); wt != nil {
 						// The gap since the window's last span is the time
@@ -494,7 +423,7 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 					}
 				}
 				nowNs += txNs
-				if err := deliver(frames, nowNs, txNs); err != nil {
+				if err := deliver(frames, nowNs); err != nil {
 					return err
 				}
 			}
@@ -502,6 +431,25 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 			m.RequestKeyFrame()
 		}
 		return nil
+	}
+
+	// reportSlot feeds the observer the receiver's per-slot health.
+	reportSlot := func() {
+		if cfg.Observer == nil {
+			return
+		}
+		st := rx.Stats()
+		cfg.Observer.OnSlot(monitor.SlotStatus{
+			Slot:       rep.Windows,
+			Windows:    rep.Windows,
+			Health:     rx.Health(),
+			Decoded:    st.Decoded,
+			Abandoned:  st.Abandoned,
+			Gaps:       st.Gaps,
+			Recoveries: st.Recoveries,
+			GapRate:    rx.GapRate(),
+			TimelineNs: nowNs,
+		})
 	}
 
 	for o := 0; o+n <= len(samples); o += n {
@@ -538,22 +486,17 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 			wt.Leaf(telemetry.StageDiff, nowNs+csNs, diffNs)
 			wt.Leaf(telemetry.StageHuffman, nowNs+csNs+diffNs, huffNs)
 		}
-		stageHist[telemetry.StageSample].Observe(windowNs)
-		stageHist[telemetry.StageCSSample].Observe(csNs)
-		stageHist[telemetry.StageDiff].Observe(diffNs)
-		stageHist[telemetry.StageHuffman].Observe(huffNs)
 		nowNs += csNs + diffNs + huffNs
 
 		frames, txNs, err := transmit(mr.Packet)
 		if err != nil {
 			return nil, err
 		}
-		stageHist[telemetry.StageTX].Observe(txNs)
 		if wt != nil {
 			wt.Leaf(telemetry.StageTX, nowNs, txNs)
 		}
 		nowNs += txNs
-		if err := deliver(frames, nowNs, txNs); err != nil {
+		if err := deliver(frames, nowNs); err != nil {
 			return nil, err
 		}
 		ctrlPkts, late := rx.EndSlot()
@@ -565,44 +508,18 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 				}
 			}
 		}
-		if cfg.Observer != nil {
-			st := rx.Stats()
-			cfg.Observer.OnSlot(monitor.SlotStatus{
-				Slot:       rep.Windows,
-				Windows:    rep.Windows,
-				Health:     rx.Health(),
-				Decoded:    st.Decoded,
-				Abandoned:  st.Abandoned,
-				Gaps:       st.Gaps,
-				Recoveries: st.Recoveries,
-				GapRate:    rx.GapRate(),
-				TimelineNs: nowNs,
-			})
-		}
+		reportSlot()
 	}
 	if rep.Windows == 0 {
 		return nil, fmt.Errorf("csecg: record shorter than one window")
 	}
 	// End of session: the reorder model releases anything still held,
 	// then the receiver abandons what never arrived.
-	if err := deliver(lnk.Flush(), nowNs, 0); err != nil {
+	if err := deliver(lnk.Flush(), nowNs); err != nil {
 		return nil, err
 	}
 	score(rx.Close())
-	if cfg.Observer != nil {
-		st := rx.Stats()
-		cfg.Observer.OnSlot(monitor.SlotStatus{
-			Slot:       rep.Windows,
-			Windows:    rep.Windows,
-			Health:     rx.Health(),
-			Decoded:    st.Decoded,
-			Abandoned:  st.Abandoned,
-			Gaps:       st.Gaps,
-			Recoveries: st.Recoveries,
-			GapRate:    rx.GapRate(),
-			TimelineNs: nowNs,
-		})
-	}
+	reportSlot()
 
 	rep.Transport = rx.Stats()
 	rep.Decoded = rep.Transport.Decoded
@@ -616,18 +533,14 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 		rep.MeanEstPRDN = sumEst / float64(estCount)
 	}
 	if rep.Decoded > 0 {
-		rep.MeanIterations = float64(sumIters) / float64(rep.Decoded)
+		rep.MeanIterations = float64(sessIters.Sum()) / float64(rep.Decoded)
 		rep.MeanDecodeTime = sumDecode / time.Duration(rep.Decoded)
 	}
 	rep.WireCR = metrics.CR(rawBits, compBits)
 	rep.MoteCPU = m.AverageCPUUsage()
 	rep.CoordinatorCPU = dec.AverageCPUUsage()
-	rep.Stages = make(map[string]telemetry.Summary, len(telemetry.Stages()))
-	for _, s := range telemetry.Stages() {
-		rep.Stages[s] = stageHist[s].Summarize()
-	}
-	rep.DecodeLatency = latHist.Summarize()
-	rep.SolverIterations = reg.Histogram("coordinator_iterations").Summarize()
+	rep.DecodeLatency = sessLat.Summarize()
+	rep.SolverIterations = sessIters.Summarize()
 	if cfg.Recorder != nil {
 		rep.BundlesWritten = cfg.Recorder.BundlesWritten()
 	}

@@ -146,11 +146,6 @@ func TestStreamTraceCoversEveryStage(t *testing.T) {
 		}
 	}
 	// Report summaries must be populated from the same session.
-	for _, stage := range PipelineStages() {
-		if rep.Stages[stage].Count == 0 {
-			t.Errorf("report has no %q stage observations", stage)
-		}
-	}
 	if got := rep.SolverIterations.Count; got != int64(rep.Decoded) {
 		t.Errorf("solver iteration summary has %d observations, want %d", got, rep.Decoded)
 	}
@@ -303,7 +298,8 @@ func TestStreamDecodeLatencyPerWindow(t *testing.T) {
 }
 
 // TestStreamSharedRegistryAcrossSessions checks that callers can pool
-// several sessions into one registry, the csecg-bench -metrics shape.
+// several sessions into one registry, the csecg-bench -metrics shape,
+// while each report's distribution summaries count its own windows.
 func TestStreamSharedRegistryAcrossSessions(t *testing.T) {
 	reg := NewMetrics()
 	var windows int64
@@ -319,6 +315,10 @@ func TestStreamSharedRegistryAcrossSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		windows += int64(rep.Windows)
+		if rep.DecodeLatency.Count != int64(rep.Decoded) || rep.SolverIterations.Count != int64(rep.Decoded) {
+			t.Errorf("session %s: DecodeLatency.Count %d, SolverIterations.Count %d, want Decoded %d",
+				id, rep.DecodeLatency.Count, rep.SolverIterations.Count, rep.Decoded)
+		}
 	}
 	if got := reg.Counter("mote_windows_total").Load(); got != windows {
 		t.Errorf("pooled mote_windows_total = %d, want %d", got, windows)
