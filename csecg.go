@@ -81,16 +81,8 @@ const (
 // retransmit ring can never usefully exceed it.
 const MaxNackRange = core.MaxNackRange
 
-// NewNack builds a control packet requesting retransmission of count
-// windows starting at firstSeq.
-func NewNack(firstSeq uint32, count int) *Packet { return core.NewNack(firstSeq, count) }
-
 // NackRange parses a NACK's requested window range.
 func NackRange(p *Packet) (uint32, int, error) { return core.NackRange(p) }
-
-// NewKeyRequest builds a control packet asking the mote to promote its
-// next window to a key frame.
-func NewKeyRequest(nextSeq uint32) *Packet { return core.NewKeyRequest(nextSeq) }
 
 // NewEncoder builds the mote-side encoder.
 func NewEncoder(p Params) (*Encoder, error) { return core.NewEncoder(p) }
@@ -260,11 +252,6 @@ func NewSpanTracer(cfg SpanTracerConfig) *SpanTracer { return telemetry.NewCausa
 // — the csecg-triage input format.
 func WriteSpanTraceJSONL(w io.Writer, recs []SpanTraceRecord) error {
 	return telemetry.WriteTraceRecords(w, recs)
-}
-
-// ReadSpanTraceJSONL parses a span-tree JSONL stream.
-func ReadSpanTraceJSONL(r io.Reader) ([]SpanTraceRecord, error) {
-	return telemetry.ReadTraceRecords(r)
 }
 
 // WriteChromeTrace renders span-tree records as Chrome trace_event

@@ -1,20 +1,16 @@
 package csecg
 
 import (
-	"csecg/internal/adaptive"
 	"csecg/internal/analogcs"
 	"csecg/internal/core"
-	"csecg/internal/dwtcomp"
 	"csecg/internal/holter"
 	"csecg/internal/qrs"
-	"csecg/internal/session"
-	"csecg/internal/wfdb"
 )
 
 // This file exposes the extension subsystems built on top of the
-// paper's pipeline: clinical validation, adaptive rate control, the
-// analog-CS front-end simulation, the classical transform-coding
-// baseline, and MIT-BIH physical-format I/O.
+// paper's pipeline: the DCT basis ablation, clinical validation (QRS
+// detection and Holter analytics) and the analog-CS front-end
+// simulation.
 
 // Sparsifying bases selectable in Params.Basis.
 const (
@@ -32,15 +28,7 @@ type (
 	BeatMatchStats = qrs.MatchStats
 	// Beat is one detected beat with morphology measurements.
 	Beat = qrs.Beat
-	// BeatClassStats scores PVC-vs-normal classification.
-	BeatClassStats = qrs.ClassificationStats
 )
-
-// ScoreBeatClassification tallies classification against labeled
-// references.
-func ScoreBeatClassification(beats []Beat, refSamples []int, refVentricular []bool, tol int) BeatClassStats {
-	return qrs.ScoreClassification(beats, refSamples, refVentricular, tol)
-}
 
 // NewQRSDetector builds a detector for the given sample rate.
 func NewQRSDetector(fs float64) (*QRSDetector, error) { return qrs.NewDetector(fs) }
@@ -50,32 +38,6 @@ func NewQRSDetector(fs float64) (*QRSDetector, error) { return qrs.NewDetector(f
 func MatchBeats(detections, reference []int, tol int) BeatMatchStats {
 	return qrs.Match(detections, reference, tol)
 }
-
-// Adaptive rate control.
-type (
-	// AdaptiveLevel is one operating point of the rate ladder.
-	AdaptiveLevel = adaptive.Level
-	// AdaptiveEncoder switches compression ratio with signal activity.
-	AdaptiveEncoder = adaptive.Encoder
-	// AdaptiveDecoder32 is the float32 adaptive decoder.
-	AdaptiveDecoder32 = adaptive.Decoder[float32]
-	// AdaptiveFrame is the level-tagged wire unit.
-	AdaptiveFrame = adaptive.Frame
-)
-
-// NewAdaptiveEncoder builds an adaptive encoder over the level ladder
-// (nil selects adaptive.DefaultLevels).
-func NewAdaptiveEncoder(base Params, levels []AdaptiveLevel) (*AdaptiveEncoder, error) {
-	return adaptive.NewEncoder(base, levels)
-}
-
-// NewAdaptiveDecoder32 mirrors NewAdaptiveEncoder on the decode side.
-func NewAdaptiveDecoder32(base Params, levels []AdaptiveLevel) (*AdaptiveDecoder32, error) {
-	return adaptive.NewDecoder[float32](base, levels)
-}
-
-// DefaultAdaptiveLevels returns the stock three-point ladder.
-func DefaultAdaptiveLevels() []AdaptiveLevel { return adaptive.DefaultLevels() }
 
 // Holter-report analytics.
 type (
@@ -108,27 +70,6 @@ func AnalyzeSpectralHRV(beats []HolterBeat) (*SpectralHRV, error) {
 	return holter.AnalyzeSpectral(beats)
 }
 
-// Multi-lead sessions.
-type (
-	// SessionEncoder multiplexes several leads over one link.
-	SessionEncoder = session.Encoder
-	// SessionDecoder32 is the float32 multi-lead decoder.
-	SessionDecoder32 = session.Decoder[float32]
-	// SessionFrame is the lead-tagged wire unit.
-	SessionFrame = session.Frame
-)
-
-// NewSessionEncoder builds one pipeline per lead (lead-specific sensing
-// matrices derived from the base seed).
-func NewSessionEncoder(base Params, leads int) (*SessionEncoder, error) {
-	return session.NewEncoder(base, leads)
-}
-
-// NewSessionDecoder32 mirrors NewSessionEncoder.
-func NewSessionDecoder32(base Params, leads int) (*SessionDecoder32, error) {
-	return session.NewDecoder[float32](base, leads)
-}
-
 // Analog CS front-end simulation (the paper's "ultimate goal").
 type (
 	// AnalogFrontEnd is a random-modulation pre-integrator model.
@@ -139,51 +80,3 @@ type (
 
 // NewAnalogFrontEnd builds the front end.
 func NewAnalogFrontEnd(cfg AnalogConfig) (*AnalogFrontEnd, error) { return analogcs.New(cfg) }
-
-// Classical transform-coding baseline.
-type (
-	// DWTEncoder is the fixed-point wavelet-thresholding compressor.
-	DWTEncoder = dwtcomp.Encoder
-	// DWTDecoder reconstructs its packets.
-	DWTDecoder = dwtcomp.Decoder
-)
-
-// NewDWTEncoder builds the baseline compressor.
-func NewDWTEncoder(n, order, levels, keepK int) (*DWTEncoder, error) {
-	return dwtcomp.NewEncoder(n, order, levels, keepK)
-}
-
-// NewDWTDecoder mirrors NewDWTEncoder.
-func NewDWTDecoder(n, order, levels int) (*DWTDecoder, error) {
-	return dwtcomp.NewDecoder(n, order, levels)
-}
-
-// MIT-BIH physical-format I/O.
-type (
-	// WFDBHeader is a parsed .hea file.
-	WFDBHeader = wfdb.Header
-	// WFDBSignalSpec is one per-signal header line.
-	WFDBSignalSpec = wfdb.SignalSpec
-	// WFDBRecord is a fully read two-channel record.
-	WFDBRecord = wfdb.Record
-	// WFDBAnnotation is one annotated beat.
-	WFDBAnnotation = wfdb.Annotation
-)
-
-// WriteWFDBRecord exports a two-channel record in format 212.
-func WriteWFDBRecord(dir, name string, fs float64, ch0, ch1 []int16, spec WFDBSignalSpec, descriptions [2]string) error {
-	return wfdb.WriteRecord(dir, name, fs, ch0, ch1, spec, descriptions)
-}
-
-// ReadWFDBRecord reads a format-212 record with checksum verification.
-func ReadWFDBRecord(dir, name string) (*WFDBRecord, error) { return wfdb.ReadRecord(dir, name) }
-
-// WriteWFDBAnnotations exports beat annotations in the MIT format.
-func WriteWFDBAnnotations(dir, name string, anns []WFDBAnnotation) error {
-	return wfdb.WriteAnnotations(dir, name, anns)
-}
-
-// ReadWFDBAnnotations reads MIT-format annotations.
-func ReadWFDBAnnotations(dir, name string) ([]WFDBAnnotation, error) {
-	return wfdb.ReadAnnotations(dir, name)
-}

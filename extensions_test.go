@@ -28,94 +28,6 @@ func TestQRSFacade(t *testing.T) {
 	}
 }
 
-func TestAdaptiveFacade(t *testing.T) {
-	base := Params{Seed: 3}
-	enc, err := NewAdaptiveEncoder(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewAdaptiveDecoder32(base, DefaultAdaptiveLevels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := RecordByID("100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	adc, err := rec.Channel256(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for o := 0; o+WindowSize <= len(adc); o += WindowSize {
-		f, err := enc.EncodeWindow(adc[o : o+WindowSize])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dec.DecodeFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestSessionFacade(t *testing.T) {
-	base := Params{Seed: 11}
-	enc, err := NewSessionEncoder(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewSessionDecoder32(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := RecordByID("100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch0, err := rec.Channel256(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch1, err := rec.Channel256(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, err := enc.EncodeWindows([][]int16{ch0[:WindowSize], ch1[:WindowSize]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range frames {
-		if _, err := dec.DecodeFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestBeatClassificationFacade(t *testing.T) {
-	det, err := NewQRSDetector(360)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := RecordByID("208")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := rec.Synthesize(60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	beats := det.DetectBeats(sig.MV[0])
-	var refS []int
-	var refV []bool
-	for _, a := range sig.Ann {
-		refS = append(refS, a.Sample)
-		refV = append(refV, a.Type.String() == "V")
-	}
-	st := ScoreBeatClassification(beats, refS, refV, 18)
-	if st.PVCSensitivity() < 0.8 {
-		t.Errorf("facade PVC sensitivity %.3f", st.PVCSensitivity())
-	}
-}
-
 func TestAnalogFacade(t *testing.T) {
 	fe, err := NewAnalogFrontEnd(AnalogConfig{M: 64, N: 128, Oversample: 4, WindowSeconds: 2})
 	if err != nil {
@@ -123,59 +35,6 @@ func TestAnalogFacade(t *testing.T) {
 	}
 	if fe.ChipCount() != 512 {
 		t.Errorf("ChipCount = %d", fe.ChipCount())
-	}
-}
-
-func TestDWTBaselineFacade(t *testing.T) {
-	enc, err := NewDWTEncoder(512, 4, 5, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDWTDecoder(512, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	win := make([]int16, 512)
-	for i := range win {
-		win[i] = int16(i%100 - 50)
-	}
-	data, err := enc.Encode(win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := dec.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 512 {
-		t.Errorf("decoded %d samples", len(back))
-	}
-}
-
-func TestWFDBFacade(t *testing.T) {
-	dir := t.TempDir()
-	ch := []int16{1, 2, 3, 4}
-	spec := WFDBSignalSpec{Gain: 200, Baseline: 1024, Units: "mV", ADCRes: 11, ADCZero: 1024}
-	if err := WriteWFDBRecord(dir, "x", 360, ch, ch, spec, [2]string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := ReadWFDBRecord(dir, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Header.NumSamples != 4 {
-		t.Errorf("NumSamples = %d", rec.Header.NumSamples)
-	}
-	anns := []WFDBAnnotation{{Sample: 10, Code: 1}, {Sample: 2000, Code: 5}}
-	if err := WriteWFDBAnnotations(dir, "x", anns); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWFDBAnnotations(dir, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].Code != 5 {
-		t.Errorf("annotations round trip: %+v", got)
 	}
 }
 

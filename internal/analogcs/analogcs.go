@@ -117,9 +117,6 @@ func New(cfg Config) (*FrontEnd, error) {
 	return fe, nil
 }
 
-// Config returns the resolved configuration.
-func (fe *FrontEnd) Config() Config { return fe.cfg }
-
 // ChipCount returns the chips per window.
 func (fe *FrontEnd) ChipCount() int { return fe.cfg.N * fe.cfg.Oversample }
 

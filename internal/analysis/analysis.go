@@ -38,7 +38,6 @@ func DefaultConfig(modPath string) Config {
 			modPath + "/internal/core",
 			modPath + "/internal/sensing",
 			modPath + "/internal/huffman",
-			modPath + "/internal/fixedpoint",
 			modPath + "/internal/mote",
 		},
 		LibraryExcludePrefixes: []string{

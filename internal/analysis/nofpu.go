@@ -24,7 +24,7 @@ var NoFPU = &Analyzer{
 	RunModule: runNoFPUTransitive,
 }
 
-const fpSuggestion = "use integer or internal/fixedpoint Q15/Q31 arithmetic, or mark host-side modeling code //csecg:host"
+const fpSuggestion = "use integer (Q15/Q31 fixed-point) arithmetic, or mark host-side modeling code //csecg:host"
 
 // containsFloat reports whether t directly stores float32/float64 data:
 // a float basic type, or a slice/array/map/chan of one. Traversal

@@ -25,8 +25,9 @@ import (
 // the tree's infinite-precision-accumulator idiom, and a genuine int64
 // overflow needs operands the interval domain would have flagged at
 // their own narrowing). Saturation guards — the MaxQ15/MinQ15 clamp
-// switches in internal/fixedpoint — refine operand intervals on each
-// branch, which is how fixedpoint itself proves clean with no waiver.
+// switches of the testdata/src/fixedpoint fixture — refine operand
+// intervals on each branch, which is how that fixture proves clean
+// with no waiver.
 // Intentional wraparound is waived per statement with //csecg:rangeok.
 var RangeCheck = &Analyzer{
 	Name: "rangecheck",
@@ -34,7 +35,7 @@ var RangeCheck = &Analyzer{
 	Run:  runRangeCheck,
 }
 
-const rangeSuggestion = "widen the operands (int32/int64) before the operation, clamp with a fixedpoint-style saturation guard, or waive intentional wraparound with //csecg:rangeok"
+const rangeSuggestion = "widen the operands (int32/int64) before the operation, clamp with a MaxQ15/MinQ15-style saturation guard, or waive intentional wraparound with //csecg:rangeok"
 
 // rangeReportable gates findings on the result type per the analyzer
 // policy: signed integers of width ≤ 32.

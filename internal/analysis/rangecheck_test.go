@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-// satQ15RE matches the whole satQ15 function in internal/fixedpoint.
+// satQ15RE matches the whole satQ15 function of the fixedpoint fixture.
 var satQ15RE = regexp.MustCompile(`(?s)func satQ15\(s int32\) Q15 \{.*?\n\}`)
 
-// loadFixedpointVariant copies internal/fixedpoint's source (optionally
-// mutated) into a temp package and runs rangecheck over it.
+// loadFixedpointVariant copies the testdata/src/fixedpoint fixture
+// (optionally mutated) into a temp package and runs rangecheck over it.
 func loadFixedpointVariant(t *testing.T, mutate func(string) string) []Diagnostic {
 	t.Helper()
-	src, err := os.ReadFile(filepath.Join("..", "fixedpoint", "fixedpoint.go"))
+	src, err := os.ReadFile(filepath.Join("testdata", "src", "fixedpoint", "fixedpoint.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func F(n int) int16 {
 }
 
 // TestFixedpointProvesClean pins the ISSUE's core soundness claim: the
-// saturation clamps in internal/fixedpoint are themselves the proof.
+// saturation clamps in the fixedpoint fixture are themselves the proof.
 // rangecheck must find nothing there without a single waiver.
 func TestFixedpointProvesClean(t *testing.T) {
 	for _, d := range loadFixedpointVariant(t, nil) {

@@ -1,14 +1,9 @@
-// Package fixedpoint emulates the integer arithmetic available on the
-// MSP430-class encoder.
-//
-// The MSP430F1611 has no floating-point unit; the paper's encoder works
-// entirely in 16-bit integer arithmetic (with a 16×16→32 hardware
-// multiplier) and defers every real-valued scale factor — notably the
-// 1/√d normalization of the sparse binary sensing matrix — to the
-// decoder. This package provides the Q15/Q31 formats and saturating
-// operations used by the mote model, so the encoder port in
-// internal/mote performs exactly the operations (and overflows exactly
-// where) a real MSP430 build would.
+// Package fixedpoint is the rangecheck saturation fixture: Q15/Q31
+// formats and saturating operations in the MSP430 style, whose
+// MaxQ15/MinQ15 clamp switches are themselves the proof that no
+// conversion wraps. TestFixedpointProvesClean runs rangecheck over it
+// unmodified and TestFixedpointClampRemovalDetected with the satQ15
+// clamp deleted.
 package fixedpoint
 
 // Q15 is a signed fixed-point value with 15 fractional bits, covering

@@ -159,9 +159,6 @@ type RealTimeDecoder struct {
 	// degradation ladder divides it per rung.
 	baseMaxIter int
 	lad         ladder
-	// solveBudgetNs, when nonzero, arms the solver's soft wall-clock
-	// deadline for each decode (EnableSolveDeadline).
-	solveBudgetNs int64
 
 	met       *decoderMetrics
 	clock     telemetry.Clock
@@ -198,18 +195,6 @@ func NewRealTimeDecoder(p core.Params, mode Mode) (*RealTimeDecoder, error) {
 // makes decodes miss their modeled deadline and engages the
 // degradation ladder.
 func (r *RealTimeDecoder) SetCosts(c CostModel) { r.costs = c }
-
-// Costs returns the cycle-cost calibration in use.
-func (r *RealTimeDecoder) Costs() CostModel { return r.costs }
-
-// EnableSolveDeadline arms a soft wall-clock deadline of budget per
-// decode on the instrumented clock: the solver stops at the deadline
-// and the window is released with its best-so-far reconstruction,
-// flagged Degraded. Call after Instrument when a deterministic clock is
-// wanted; without Instrument the wall clock is used.
-func (r *RealTimeDecoder) EnableSolveDeadline(budget time.Duration) {
-	r.solveBudgetNs = int64(budget)
-}
 
 // Rung returns the degradation ladder's current rung.
 func (r *RealTimeDecoder) Rung() Rung { return r.lad.rung }
@@ -296,14 +281,6 @@ func (r *RealTimeDecoder) Decode(pkt *core.Packet) (*Result, error) {
 		r.dec.SolverOptions.MaxIter = iter
 	} else {
 		r.dec.SolverOptions.MaxIter = 1
-	}
-	if r.solveBudgetNs > 0 {
-		clk := r.clock
-		if clk == nil {
-			clk = telemetry.WallClock{}
-		}
-		r.dec.SolverOptions.Now = clk.Now
-		r.dec.SolverOptions.DeadlineNs = clk.Now() + r.solveBudgetNs
 	}
 	var start int64
 	if r.met != nil {

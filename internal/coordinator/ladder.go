@@ -64,14 +64,6 @@ func (r Rung) SolverStage() string {
 	return telemetry.SolverStageFISTA1
 }
 
-// Algorithm returns the sparse-recovery algorithm the rung runs.
-func (r Rung) Algorithm() solver.Algorithm {
-	if r < 0 || r >= numRungs {
-		return solver.AlgoFISTA
-	}
-	return rungSettings[r].algo
-}
-
 // rungSetting is one rung's solver configuration: the algorithm and the
 // divisor applied to the nominal iteration budget.
 type rungSetting struct {

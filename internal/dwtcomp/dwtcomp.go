@@ -93,9 +93,6 @@ func bitsLen(v int) int {
 	return n
 }
 
-// KeepK returns the retained-coefficient count.
-func (e *Encoder) KeepK() int { return e.keepK }
-
 // PacketBits returns the fixed packed size in bits.
 func (e *Encoder) PacketBits() int { return hdrBits + e.keepK*(posBits+valBits) }
 

@@ -102,8 +102,3 @@ func (r *BitReader) ReadBits(width uint) (uint32, error) {
 	}
 	return v, nil
 }
-
-// BitsRemaining reports how many unread bits remain (including padding).
-func (r *BitReader) BitsRemaining() int {
-	return (len(r.buf)-r.pos)*8 - int(r.cur)
-}

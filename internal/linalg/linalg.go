@@ -59,16 +59,6 @@ func Scale[T Float](alpha T, dst []T) {
 	}
 }
 
-// Add stores a+b into dst. All three slices must have equal length.
-func Add[T Float](dst, a, b []T) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("linalg: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
 // Sub stores a−b into dst. All three slices must have equal length.
 func Sub[T Float](dst, a, b []T) {
 	if len(a) != len(b) || len(dst) != len(a) {

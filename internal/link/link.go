@@ -344,11 +344,6 @@ func (l *Link) TransmitPacketMulti(p *core.Packet) ([]*core.Packet, time.Duratio
 	return parseFrames(frames), at, nil
 }
 
-// FlushPackets parses any frame still held by the reorder model.
-func (l *Link) FlushPackets() []*core.Packet {
-	return parseFrames(l.Flush())
-}
-
 func parseFrames(frames [][]byte) []*core.Packet {
 	var pkts []*core.Packet
 	for _, f := range frames {

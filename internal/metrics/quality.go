@@ -86,12 +86,6 @@ func EstimatePRDN(o QualityObservables) float64 {
 	return est
 }
 
-// EstimateQuality maps the estimate onto the diagnostic bands of
-// Classify; EstimateBad is the monitor's good/bad boundary.
-func EstimateQuality(o QualityObservables) Quality {
-	return Classify(EstimatePRDN(o))
-}
-
 // EstimateBad reports whether the window's estimated PRDN crosses the
 // paper's 9 % diagnostic-quality boundary.
 func EstimateBad(o QualityObservables) bool {

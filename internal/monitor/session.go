@@ -256,9 +256,3 @@ func (s *Session) Snapshot() SessionStatus {
 	st.LatencySLO = s.latency.Snapshot()
 	return st
 }
-
-// QualitySLO exposes the bad-window burn-rate tracker.
-func (s *Session) QualitySLO() *SLO { return s.quality }
-
-// LatencySLO exposes the decode-latency burn-rate tracker.
-func (s *Session) LatencySLO() *SLO { return s.latency }

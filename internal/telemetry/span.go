@@ -456,9 +456,6 @@ func NewCausalTracer(cfg CausalConfig) *CausalTracer {
 // that also turns on the solver's per-iteration counter points).
 func (c *CausalTracer) RetainsAll() bool { return c.retainAll }
 
-// Label returns the session label the seed derives from.
-func (c *CausalTracer) Label() string { return c.label }
-
 // Seed returns the session's trace-ID seed — hand it to the receiver
 // and flight recorder so every plane computes identical IDs.
 func (c *CausalTracer) Seed() uint64 { return c.seed }
@@ -599,16 +596,6 @@ func (c *CausalTracer) Retained() []WindowTrace {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// StageHistogram returns the ns-valued contribution histogram of one
-// depth-1 stage (nil for names outside SpanStages).
-func (c *CausalTracer) StageHistogram(stage string) *Histogram {
-	idx, ok := c.stageIdx[stage]
-	if !ok {
-		return nil
-	}
-	return c.stageHists[idx]
 }
 
 // SpanRecord is one span in the JSONL trace format.

@@ -77,9 +77,6 @@ func MaxLevels(order, n int) int {
 // Len returns the signal length the transform operates on.
 func (t *Transform[T]) Len() int { return t.n }
 
-// Levels returns the number of decomposition levels.
-func (t *Transform[T]) Levels() int { return t.levels }
-
 // Forward computes the analysis transform (Ψᵀ for the orthonormal basis):
 // dst receives the coefficient pyramid of x. dst and x must both have
 // length Len() and may not alias.
