@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build cross-build perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench perf perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
+check: vet lint vet-baseline-empty stack-budget build cross-build perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -47,6 +47,14 @@ vet-baseline-empty:
 
 build:
 	$(GO) build ./...
+
+# cross-build vets the tree for arm64 and builds it for 386, so the Go
+# fallbacks of the amd64 AVX2 kernels (the *_other.go files) and their
+# build constraints keep compiling; amd64 go vet's asmdecl check already
+# covers the assembly frame layouts.
+cross-build:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # perfbench-build vets, builds and short-tests the nested _perfbench
 # module, which the root ./... pattern skips: an export it uses that

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -108,7 +109,10 @@ func (l *loader) discover() error {
 	})
 }
 
-// goSources lists the non-test .go files of dir in name order.
+// goSources lists the non-test .go files of dir that the go command
+// would build for this GOOS/GOARCH (file-name suffixes and //go:build
+// lines), in name order, so a package with per-architecture files
+// type-checks as the compiler sees it.
 func goSources(dir string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -119,6 +123,9 @@ func goSources(dir string) []string {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") ||
 			strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err == nil && !ok {
 			continue
 		}
 		out = append(out, filepath.Join(dir, n))

@@ -74,3 +74,27 @@ func TestPushSampleClampsADCRange(t *testing.T) {
 		t.Error("streamed −32768 encodes differently from streamed 0")
 	}
 }
+
+// TestRoundTHalfAwayFromZero pins the requantizer's rounding, including
+// the largest float below one half: adding 0.5 to 0.49999997 rounds the
+// float32 sum to 1.0, which a round-then-truncate would keep.
+func TestRoundTHalfAwayFromZero(t *testing.T) {
+	cases := []struct{ v, want float32 }{
+		{0.49999997, 0}, {-0.49999997, 0},
+		{1.4999999, 1}, {-1.4999999, -1},
+		{2.5, 3}, {-2.5, -3},
+		{0.5, 1}, {-0.5, -1},
+		{0, 0}, {2047.4999, 2047}, {-2047.5, -2048},
+	}
+	for _, c := range cases {
+		if got := roundT(c.v); got != c.want {
+			t.Errorf("roundT(float32 %v) = %v, want %v", c.v, got, c.want)
+		}
+		if got := roundT(float64(c.v)); got != float64(c.want) {
+			t.Errorf("roundT(float64 %v) = %v, want %v", c.v, got, c.want)
+		}
+	}
+	if got := roundT(0.49999999999999994); got != 0 {
+		t.Errorf("roundT(float64 0.49999999999999994) = %v, want 0", got)
+	}
+}

@@ -268,9 +268,17 @@ func clampADC(v int32) int16 {
 	return int16(v)
 }
 
+// roundT rounds half away from zero. It rounds from the exact
+// fractional part v − trunc(v): adding 0.5 first would round, and take
+// the largest float below 0.5 (0.49999997 in float32) up to 1.
 func roundT[T linalg.Float](v T) T {
+	t := T(int64(v))
 	if v >= 0 {
-		return T(int64(v + 0.5))
+		if v-t >= 0.5 {
+			t++
+		}
+	} else if t-v >= 0.5 {
+		t--
 	}
-	return T(int64(v - 0.5))
+	return t
 }

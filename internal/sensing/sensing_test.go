@@ -1,6 +1,7 @@
 package sensing
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -322,3 +323,43 @@ func BenchmarkGaussianMeasure512(b *testing.B) {
 		m.MatVec(y, x)
 	}
 }
+
+// benchPhi runs one Φ apply at the decoder's operating points (N = 512,
+// d = 12; M = 256 at CR 50, M = 102 at CR 80) on the Go loops (ref)
+// and on the AVX2 gather kernels (kernel, skipped without AVX2). The
+// names follow the sensing.apply and sensing.apply_t trace stages.
+func benchPhi(b *testing.B, transpose bool) {
+	for _, m := range []int{256, 102} {
+		s, err := NewSparseBinaryLCG(m, 512, 12, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops := []struct {
+			name string
+			op   func() linalg.Op[float32]
+		}{
+			{"ref", func() linalg.Op[float32] { return loopOp[float32](s) }},
+			{"kernel", func() linalg.Op[float32] { return gatherOp(s) }},
+		}
+		for _, o := range ops {
+			b.Run(fmt.Sprintf("M=%d/%s", m, o.name), func(b *testing.B) {
+				if o.name == "kernel" && !linalg.HasAVX2() {
+					b.Skip("no AVX2 on this CPU")
+				}
+				op := o.op()
+				x, y := pseudoRandom[float32](512, 1), pseudoRandom[float32](m, 2)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if transpose {
+						op.ApplyT(x, y)
+					} else {
+						op.Apply(y, x)
+					}
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkSensingApply(b *testing.B)  { benchPhi(b, false) }
+func BenchmarkSensingApplyT(b *testing.B) { benchPhi(b, true) }

@@ -138,10 +138,24 @@ func (s *SparseBinary) AddMeasureInt(dst []int32, c int, x int16) {
 }
 
 // Op returns the real-valued operator view Φ (with the 1/√d scaling) for
-// the solver side, generic over the float width. Apply scatters each
-// column into its d rows; ApplyT gathers them, walking the column
-// supports as consecutive d-entry slices of one array.
+// the solver side, generic over the float width. For float32 on a CPU
+// with AVX2 (linalg.HasAVX2) it runs the gather kernels over host-only
+// copies of the supports (gatherOp); otherwise it runs loopOp's Go
+// loops. Both give the same result bit for bit.
+//
+//csecg:host the solver-side operator; the mote measures with MeasureInt
 func Op[T linalg.Float](s *SparseBinary) linalg.Op[T] {
+	if _, f32 := any(T(0)).(float32); f32 && linalg.HasAVX2() {
+		return any(gatherOp(s)).(linalg.Op[T])
+	}
+	return loopOp[T](s)
+}
+
+// loopOp is Φ in plain Go loops: Apply scatters each column into its d
+// rows; ApplyT gathers them, walking the column supports as consecutive
+// d-entry slices of one array. They fix the summation order the gather
+// kernels reproduce.
+func loopOp[T linalg.Float](s *SparseBinary) linalg.Op[T] {
 	scale := T(s.scale)
 	return linalg.Op[T]{
 		InDim:  s.n,
@@ -182,6 +196,63 @@ func Op[T linalg.Float](s *SparseBinary) linalg.Op[T] {
 		},
 	}
 }
+
+// phiGathers holds the two host-only index layouts of Φ for the AVX2
+// gather kernels: cols reads each column's d rows (ApplyT), rows each
+// row's columns in ascending order (Apply). Apply's row gather adds the
+// same terms to each row in the same order as the column scatter; the
+// scatter's skip of zero terms changes nothing, since a sum that
+// starts at +0 can never become −0 and adding ±0 to it is exact.
+type phiGathers struct {
+	cols, rows *linalg.Gather8
+	scale      float32 //csecg:host the decoder-side 1/√d scale
+}
+
+// gatherOp builds Φ on the gather kernels. Callers check
+// linalg.HasAVX2 first.
+//
+//csecg:host decoder-side index layouts and float32 kernels, never on the mote path
+func gatherOp(s *SparseBinary) linalg.Op[float32] {
+	k := &phiGathers{scale: float32(s.scale)}
+	colPtr := make([]int32, s.n+1)
+	for c := range colPtr {
+		colPtr[c] = int32(c * s.d)
+	}
+	// Transpose the supports into compressed rows: count, offset, then
+	// fill in ascending column order.
+	rowPtr := make([]int32, s.m+1)
+	for _, r := range s.support {
+		rowPtr[r+1]++
+	}
+	for r := 0; r < s.m; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	rowCols := make([]int32, len(s.support))
+	next := append([]int32(nil), rowPtr[:s.m]...)
+	for c := 0; c < s.n; c++ {
+		for _, r := range s.Support(c) {
+			rowCols[next[r]] = int32(c)
+			next[r]++
+		}
+	}
+	var err error
+	if k.cols, err = linalg.NewGather8(s.m, colPtr, s.support); err != nil {
+		panic("sensing: " + err.Error()) // supports are drawn in [0, m)
+	}
+	if k.rows, err = linalg.NewGather8(s.n, rowPtr, rowCols); err != nil {
+		panic("sensing: " + err.Error())
+	}
+	return linalg.Op[float32]{InDim: s.n, OutDim: s.m, Apply: k.apply, ApplyT: k.applyT}
+}
+
+// apply and applyT panic on a dimension mismatch before any kernel
+// runs (Gather8 checks both operands).
+//
+//csecg:host float32 decoder kernel
+func (k *phiGathers) apply(dst, x []float32) { k.rows.SumScaled(dst, x, k.scale) }
+
+//csecg:host float32 decoder kernel
+func (k *phiGathers) applyT(dst, y []float32) { k.cols.Sum(dst, y, k.scale) }
 
 // MaxColumnCoherence returns the largest normalized inner product between
 // two distinct columns, the incoherence diagnostic that guided the

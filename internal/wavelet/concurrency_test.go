@@ -15,10 +15,17 @@ import (
 // serial run's bit for bit. Both borrow their scratch vectors from
 // pools; a scratch buffer shared between goroutines would corrupt
 // results here and trip the race detector (make race runs this test
-// under -race -count=10).
+// under -race -count=10). The float32 instantiation drives the AVX2
+// gather and filter-bank kernels, and their stack-held tail scratch,
+// where the CPU has AVX2.
 func TestSharedOperatorsConcurrent(t *testing.T) {
+	t.Run("float32", sharedOperatorsConcurrent[float32])
+	t.Run("float64", sharedOperatorsConcurrent[float64])
+}
+
+func sharedOperatorsConcurrent[T linalg.Float](t *testing.T) {
 	const n, m, workers, reps = 512, 256, 4, 3
-	w, err := New[float64](4, n, 5)
+	w, err := New[T](4, n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,19 +33,19 @@ func TestSharedOperatorsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := linalg.Compose(sensing.Op[float64](phi), w.SynthesisOp())
+	a := linalg.Compose(sensing.Op[T](phi), w.SynthesisOp())
 	lip := 2 * linalg.PowerIterOpNorm(a, 30)
 
-	type output struct{ alpha, signal, coeffs []float64 }
+	type output struct{ alpha, signal, coeffs []T }
 	run := func(job int) (output, error) {
-		x := ecgLike[float64](n, uint64(job+1))
-		y := make([]float64, m)
+		x := ecgLike[T](n, uint64(job+1))
+		y := make([]T, m)
 		a.Apply(y, x)
-		r, err := solver.FISTA(a, y, solver.Options[float64]{MaxIter: 40, Tol: -1, Lipschitz: lip, Vectorized: true})
+		r, err := solver.FISTA(a, y, solver.Options[T]{MaxIter: 40, Tol: -1, Lipschitz: lip, Vectorized: true})
 		if err != nil {
 			return output{}, err
 		}
-		out := output{alpha: r.X, signal: make([]float64, n), coeffs: make([]float64, n)}
+		out := output{alpha: r.X, signal: make([]T, n), coeffs: make([]T, n)}
 		w.Inverse(out.signal, r.X)
 		w.Forward(out.coeffs, x)
 		return out, nil

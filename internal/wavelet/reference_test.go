@@ -3,6 +3,7 @@ package wavelet
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"csecg/internal/linalg"
@@ -82,9 +83,18 @@ func bits[T linalg.Float](v T) uint64 {
 	return math.Float64bits(float64(v))
 }
 
+// requireSameBits compares bit patterns, and only NaN-ness where the
+// reference is NaN: the payload of a NaN sum is not part of the
+// contract.
 func requireSameBits[T linalg.Float](t *testing.T, what string, got, want []T) {
 	t.Helper()
 	for i := range want {
+		if want[i] != want[i] {
+			if got[i] == got[i] {
+				t.Fatalf("%s: entry %d is %v, reference NaN", what, i, got[i])
+			}
+			continue
+		}
 		if bits(got[i]) != bits(want[i]) {
 			t.Fatalf("%s: entry %d is %v (%#x), reference %v (%#x)", what, i, got[i], bits(got[i]), want[i], bits(want[i]))
 		}
@@ -108,7 +118,88 @@ func ecgLike[T linalg.Float](n int, seed uint64) []T {
 	return x
 }
 
+// withEdges returns x with an IEEE-754 edge value at every seventh
+// entry: signed zeros, the smallest subnormal, infinities (whose sums
+// turn NaN) and the largest finite value (whose sums overflow).
+func withEdges[T linalg.Float](x []T) []T {
+	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64
+	if _, f32 := any(T(0)).(float32); f32 {
+		tiny, huge = math.SmallestNonzeroFloat32, math.MaxFloat32
+	}
+	edges := []T{0, T(math.Copysign(0, -1)), T(tiny), T(-tiny), T(math.Inf(1)), T(math.Inf(-1)), T(huge), T(-huge)}
+	out := append([]T(nil), x...)
+	for i := 3; i < len(out); i += 7 {
+		out[i] = edges[(i/7)%len(edges)]
+	}
+	return out
+}
+
+// requireDispatch fails unless the float32 splits of a 512-sample db4
+// level run on the AVX2 kernels exactly when the CPU has AVX2, and no
+// other element type does.
+func requireDispatch[T linalg.Float](t *testing.T) {
+	t.Helper()
+	tr, err := New[T](4, 512, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, f32 := any(T(0)).(float32)
+	want := f32 && linalg.HasAVX2()
+	buf, x := make([]T, 512), ecgLike[T](512, 1)
+	flat := (512-len(tr.h))/2 + 1
+	if got := analyzeKernel(buf, x, tr.h, tr.g, flat) > 0; got != want {
+		t.Fatalf("%T: analysis kernel dispatched = %v, want %v (HasAVX2 %v)", T(0), got, want, linalg.HasAVX2())
+	}
+	if got := synthesizeKernel(buf, x[:256], x[256:], tr.h, tr.g, len(tr.h)/2-1) > 0; got != want {
+		t.Fatalf("%T: synthesis kernel dispatched = %v, want %v (HasAVX2 %v)", T(0), got, want, linalg.HasAVX2())
+	}
+}
+
+// requireMismatchPanics calls Forward and Inverse with each operand one
+// entry short or long and requires the length panic, with no entry of
+// the destination's backing array written: the check runs before any
+// kernel touches memory.
+func requireMismatchPanics[T linalg.Float](t *testing.T, tr *Transform[T]) {
+	t.Helper()
+	n := tr.Len()
+	for _, c := range []struct {
+		what     string
+		inverse  bool
+		dst, src int
+	}{
+		{"Forward short dst", false, n - 1, n}, {"Forward long dst", false, n + 1, n},
+		{"Forward short x", false, n, n - 1}, {"Forward long x", false, n, n + 1},
+		{"Inverse short dst", true, n - 1, n}, {"Inverse long dst", true, n + 1, n},
+		{"Inverse short coeffs", true, n, n - 1}, {"Inverse long coeffs", true, n, n + 1},
+	} {
+		buf := make([]T, c.dst+8)
+		for i := range buf {
+			buf[i] = 7
+		}
+		src := ecgLike[T](c.src, 2)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "length mismatch") {
+					t.Errorf("%T %s: recovered %q, want a length mismatch panic", T(0), c.what, msg)
+				}
+			}()
+			if c.inverse {
+				tr.Inverse(buf[:c.dst], src)
+			} else {
+				tr.Forward(buf[:c.dst], src)
+			}
+		}()
+		for i, v := range buf {
+			if v != 7 {
+				t.Fatalf("%T %s: entry %d written before the panic", T(0), c.what, i)
+			}
+		}
+	}
+}
+
 func checkTransformBits[T linalg.Float](t *testing.T) {
+	requireDispatch[T](t)
 	for _, n := range []int{64, 256, 512} {
 		for _, order := range []int{1, 2, 4, 10} {
 			for levels := 1; levels <= MaxLevels(order, n); levels++ {
@@ -117,25 +208,34 @@ func checkTransformBits[T linalg.Float](t *testing.T) {
 					t.Fatal(err)
 				}
 				name := fmt.Sprintf("%T n=%d db%d levels=%d", T(0), n, order, levels)
-				x := ecgLike[T](n, uint64(n*31+levels))
-				got, want := make([]T, n), make([]T, n)
-				tr.Forward(got, x)
-				refForward(tr, want, x)
-				requireSameBits(t, name+" Forward", got, want)
-				tr.Inverse(got, x)
-				refInverse(tr, want, x)
-				requireSameBits(t, name+" Inverse", got, want)
+				random := ecgLike[T](n, uint64(n*31+levels))
+				for in, x := range [][]T{random, withEdges(random)} {
+					got, want := make([]T, n), make([]T, n)
+					tr.Forward(got, x)
+					refForward(tr, want, x)
+					requireSameBits(t, fmt.Sprintf("%s input %d Forward", name, in), got, want)
+					tr.Inverse(got, x)
+					refInverse(tr, want, x)
+					requireSameBits(t, fmt.Sprintf("%s input %d Inverse", name, in), got, want)
+				}
 			}
 		}
 	}
+	tr, err := New[T](4, 512, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireMismatchPanics(t, tr)
 }
 
 // TestTransformBitIdenticalToReference pins the production kernels to
 // the scalar reference loops bit for bit. Any reassociation of a sum,
 // a reciprocal multiply or a fused multiply-add in the kernels changes
 // the rounding of some coefficient and fails it. The level sweep runs
-// every block length down to the filter length, so the 4-output blocks,
-// the scalar remainder and the wrap tail are all hit.
+// every block length down to the filter length, so the 8-output AVX2
+// blocks, the 4-output Go blocks, the scalar remainder and the wrap
+// tail are all hit. On a CPU with AVX2 the float32 splits must run the
+// kernels, so the test cannot pass on the Go loops alone.
 func TestTransformBitIdenticalToReference(t *testing.T) {
 	t.Run("float32", checkTransformBits[float32])
 	t.Run("float64", checkTransformBits[float64])

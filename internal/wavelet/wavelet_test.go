@@ -360,31 +360,48 @@ func TestECGLikeSignalIsSparse(t *testing.T) {
 	}
 }
 
-func BenchmarkForward512Db4Float32(b *testing.B) {
-	w, _ := New[float32](4, 512, 5)
-	x := make([]float32, 512)
-	for i := range x {
-		x[i] = float32(i % 37)
+// loopFloat32 is float32 under another name. The AVX2 kernels dispatch
+// on the element type float32 itself, so a Transform[loopFloat32] runs
+// the Go loops with the same float32 arithmetic: the /ref half of the
+// benchmarks below.
+type loopFloat32 float32
+
+// benchTransform times one 512-sample db4 transform over 5 levels on
+// the Go loops (ref) and on the AVX2 kernels (kernel, skipped without
+// AVX2). The benchmarks carry the wavelet.analysis and wavelet.synth
+// trace stages.
+func benchTransform(b *testing.B, inverse bool) {
+	b.Run("ref", func(b *testing.B) { benchTransformOf[loopFloat32](b, inverse) })
+	b.Run("kernel", func(b *testing.B) {
+		if !linalg.HasAVX2() {
+			b.Skip("no AVX2 on this CPU")
+		}
+		benchTransformOf[float32](b, inverse)
+	})
+}
+
+func benchTransformOf[T linalg.Float](b *testing.B, inverse bool) {
+	w, err := New[T](4, 512, 5)
+	if err != nil {
+		b.Fatal(err)
 	}
-	dst := make([]float32, 512)
+	x := make([]T, 512)
+	for i := range x {
+		x[i] = T(i % 37)
+	}
+	dst := make([]T, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Forward(dst, x)
+		if inverse {
+			w.Inverse(dst, x)
+		} else {
+			w.Forward(dst, x)
+		}
 	}
 }
 
-func BenchmarkInverse512Db4Float32(b *testing.B) {
-	w, _ := New[float32](4, 512, 5)
-	c := make([]float32, 512)
-	for i := range c {
-		c[i] = float32(i % 37)
-	}
-	dst := make([]float32, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Inverse(dst, c)
-	}
-}
+func BenchmarkForward512Db4Float32(b *testing.B) { benchTransform(b, false) }
+func BenchmarkInverse512Db4Float32(b *testing.B) { benchTransform(b, true) }
 
 func BenchmarkDaubechiesConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
