@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build cross-build perfbench-build test race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build cross-build perfbench-build test bench-once race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench perf perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build cross-build perfbench-build test race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
+check: vet lint vet-baseline-empty stack-budget build cross-build perfbench-build test bench-once race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -67,6 +67,12 @@ perfbench-build:
 
 test:
 	$(GO) test ./...
+
+# bench-once runs every benchmark for a single iteration, so a benchmark
+# that panics or fails its own checks breaks the build instead of waiting
+# for someone to time it.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Race instrumentation slows the FISTA-heavy experiment-shape tests past
 # any reasonable timeout; they run un-instrumented in `test` and skip

@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"csecg"
-	"csecg/internal/coordinator"
-	"csecg/internal/core"
 	"csecg/internal/experiments"
 )
 
@@ -112,48 +110,6 @@ func BenchmarkSpeedupModel(b *testing.B) {
 		last = res.Speedup
 	}
 	b.ReportMetric(last, "speedup")
-}
-
-// BenchmarkDecodeVFPvsNEON measures the real host-side decode at both
-// kernel configurations — the executable counterpart of Figs. 3-5
-// (loop peeling, if-conversion, outer-loop vectorization).
-func BenchmarkDecodeVFPvsNEON(b *testing.B) {
-	for _, mode := range []coordinator.Mode{coordinator.VFP, coordinator.NEON} {
-		b.Run(mode.String(), func(b *testing.B) {
-			params := csecg.Params{Seed: 1, M: csecg.MForCR(50, csecg.WindowSize)}
-			enc, err := csecg.NewEncoder(params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rec, err := csecg.RecordByID("100")
-			if err != nil {
-				b.Fatal(err)
-			}
-			samples, err := rec.Channel256(4, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pkt, err := enc.EncodeWindow(samples[:csecg.WindowSize])
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dec, err := core.NewDecoder[float32](params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dec.SolverOptions.Vectorized = mode == coordinator.NEON
-				dec.SolverOptions.MaxIter = 300
-				dec.SolverOptions.Tol = -1
-				b.StartTimer()
-				if _, err := dec.DecodePacket(pkt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkCPUUsage regenerates the §V CPU-usage table.

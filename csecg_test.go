@@ -1,6 +1,7 @@
 package csecg
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -211,6 +212,22 @@ func TestRunStreamErrors(t *testing.T) {
 	}
 	if _, err := RunStream(StreamConfig{Seconds: 1}); err == nil {
 		t.Error("sub-window session accepted")
+	}
+	// RunStream never advances the link's drift clock, so a drifting
+	// link would silently stream with no skew and no slipped windows.
+	drift := DefaultLinkConfig()
+	drift.ClockDriftPPM = 30_000
+	for _, tc := range []struct {
+		field string
+		cfg   StreamConfig
+	}{
+		{"Link.ClockDriftPPM", StreamConfig{Seconds: 4, Link: drift}},
+		{"ControlLink.ClockDriftPPM", StreamConfig{Seconds: 4, Transport: TransportConfig{NACK: true}, ControlLink: &drift}},
+	} {
+		_, err := RunStream(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s set: err = %v, want an error naming the field", tc.field, err)
+		}
 	}
 }
 

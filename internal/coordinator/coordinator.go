@@ -175,16 +175,16 @@ type decoderMetrics struct {
 	iterations, modeledNs, solveWallNs *telemetry.Histogram
 }
 
-// NewRealTimeDecoder builds the platform decoder. The NEON mode uses the
-// 4-wide solver kernels, VFP the scalar ones, mirroring the two builds
-// the paper compares.
+// NewRealTimeDecoder builds the platform decoder. The mode names the
+// build the cycle model prices (VFP or NEON, the two the paper
+// compares): it sets the iteration budget and the modeled decode time,
+// never the values the solver computes.
 func NewRealTimeDecoder(p core.Params, mode Mode) (*RealTimeDecoder, error) {
 	dec, err := core.NewDecoder[float32](p)
 	if err != nil {
 		return nil, err
 	}
 	costs := DefaultCosts()
-	dec.SolverOptions.Vectorized = mode == NEON
 	dec.SolverOptions.MaxIter = costs.IterationBudget(dec.Params(), mode, RealTimeBudgetSeconds)
 	return &RealTimeDecoder{dec: dec, costs: costs, mode: mode, baseMaxIter: dec.SolverOptions.MaxIter}, nil
 }

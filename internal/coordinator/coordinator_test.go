@@ -189,8 +189,77 @@ func TestSolverTuningAccess(t *testing.T) {
 	if err != nil || inner == nil {
 		t.Fatal("SolverTuning failed")
 	}
-	if inner.SolverOptions.Vectorized {
-		t.Error("VFP decoder should use scalar kernels")
+}
+
+// TestModeChangesOnlyCycleModel pins what the build mode may change: a
+// VFP and a NEON decoder fed the same stream compute the same
+// reconstructions bit for bit, and differ only in modeled time, by the
+// cycle model's NEON speedup.
+func TestModeChangesOnlyCycleModel(t *testing.T) {
+	p := core.Params{Seed: 1, M: metrics.MForCR(50, core.WindowSize)}
+	const windows = 20
+	rec, err := ecg.RecordByID("100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := rec.Channel256(float64(windows*core.WindowSize)/core.FsMote, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := core.NewEncoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vfp, err := NewRealTimeDecoder(p, VFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neon, err := NewRealTimeDecoder(p, NEON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The default six-stage continuation splits the cold key frame's
+	// budget per stage, and at the VFP budget its last stage is cut
+	// (133 iterations), so the budget alone would set window 0 apart.
+	// A single-stage cold solve converges under either cap.
+	for _, d := range []*RealTimeDecoder{vfp, neon} {
+		inner, err := d.SolverTuning()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner.ContinuationStages = 1
+	}
+	speedup := Speedup(vfp.Params())
+	for w := 0; w < windows; w++ {
+		pkt, err := enc.EncodeWindow(samples[w*core.WindowSize : (w+1)*core.WindowSize])
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := vfp.Decode(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := neon.Decode(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Under the VFP cap both decoders stop on the tolerance, so the
+		// comparison below is not about iteration budgets.
+		if !a.Converged {
+			t.Fatalf("window %d: VFP decode hit its %d-iteration cap", w, vfp.IterationBudget())
+		}
+		if a.Iterations != b.Iterations || math.Float64bits(a.ResidualNorm) != math.Float64bits(b.ResidualNorm) {
+			t.Fatalf("window %d: VFP (%d iterations, residual %v), NEON (%d, %v)", w, a.Iterations, a.ResidualNorm, b.Iterations, b.ResidualNorm)
+		}
+		for i := range a.MV {
+			if math.Float32bits(a.MV[i]) != math.Float32bits(b.MV[i]) {
+				t.Fatalf("window %d sample %d: VFP %v, NEON %v", w, i, a.MV[i], b.MV[i])
+			}
+		}
+		// ModeledTime is whole nanoseconds.
+		if r := float64(a.ModeledTime) / float64(b.ModeledTime); math.Abs(r-speedup) > 1e-6 {
+			t.Errorf("window %d: modeled VFP/NEON time %v, want Speedup %v", w, r, speedup)
+		}
 	}
 }
 

@@ -39,8 +39,8 @@ type Decoder[T linalg.Float] struct {
 	y, resid []T
 
 	// SolverOptions tunes the recovery. MaxIter is the real-time budget
-	// (Section V: 800 unoptimized, 2000 optimized); Vectorized selects
-	// the 4-wide kernels.
+	// (Section V: 800 unoptimized, 2000 optimized); the coordinator
+	// sets it per build from the cycle model.
 	SolverOptions solver.Options[T]
 	// ContinuationStages > 1 enables λ-continuation (warm-started
 	// windows rarely need it; cold key frames benefit).
@@ -117,8 +117,7 @@ func NewDecoder[T linalg.Float](p Params) (*Decoder[T], error) {
 			// is indistinguishable from 1e-5 on the substitute database,
 			// and it lands the per-packet iteration count in the paper's
 			// 600-900 band at CR=50.
-			Tol:        3e-5,
-			Vectorized: true,
+			Tol: 3e-5,
 		},
 		ContinuationStages: 6,
 	}

@@ -106,7 +106,7 @@ func TestRestartCutsWarmIterations(t *testing.T) {
 	phiOp := sensing.Op[float32](phi)
 	a := linalg.Compose(phiOp, w.SynthesisOp())
 	lip := 2 * linalg.PowerIterOpNorm(a, 30)
-	opt := solver.Options[float32]{MaxIter: 2000, Tol: 3e-5, Lipschitz: lip, Vectorized: true}
+	opt := solver.Options[float32]{MaxIter: 2000, Tol: 3e-5, Lipschitz: lip}
 
 	problem := func(win []int16) (x []float64, y []float32, lambda float32) {
 		x = make([]float64, n)

@@ -2,20 +2,13 @@
 // reconstruction uses: vector arithmetic, dense matrix-vector products
 // for the Gaussian sensing baseline, and operator-norm estimation.
 //
-// Every hot kernel exists in two variants, mirroring the paper's ARM
-// port:
-//
-//   - a scalar reference version (the "VFP" path, plain loops with
-//     branches), and
-//   - a 4-wide unrolled, branch-free version (the "NEON" path) using the
-//     same loop-peeling and if-conversion transformations described in
-//     Section IV-B of the paper (Figs. 3-5).
-//
-// On amd64 the unrolled versions give the Go compiler straight-line code
-// it can schedule well; the point of keeping both is (a) the micro-
-// benchmarks that reproduce the paper's vectorization study and (b) the
-// cycle-cost model in internal/coordinator, which charges VFP costs to
-// the scalar shapes and NEON costs to the 4-wide shapes.
+// kernels4.go holds the unrolled (Dot4, Axpy4) and branch-free
+// (ShrinkBranchless) shapes of the paper's vectorization study
+// (Section IV-B, Figs. 3-4); their micro-benchmarks run next to the
+// plain loops. Gather8 sums the sparse sensing matrix's rows 8 lanes
+// wide, on AVX2 kernels where the CPU has them. Which kernel runs never
+// depends on the VFP or NEON build the cycle model in
+// internal/coordinator prices.
 //
 // All kernels are generic over float32 and float64 so the same solver
 // code instantiates as the paper's "iPhone (32-bit)" and "Matlab
@@ -94,7 +87,7 @@ func Norm2[T Float](x []T) T {
 
 // DistNorm2 returns ‖a−b‖₂ without scratch storage. It recomputes each
 // difference in both of Norm2's passes, so it equals Norm2 of Sub(a, b)
-// (or Sub4) bit for bit; the solver's stopping rule depends on that.
+// bit for bit; the solver's stopping rule depends on that.
 func DistNorm2[T Float](a, b []T) T {
 	if len(a) != len(b) {
 		panic("linalg: DistNorm2 length mismatch")

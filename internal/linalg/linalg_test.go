@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"csecg/internal/rng"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -87,26 +89,38 @@ func TestSoftThresholdCases(t *testing.T) {
 	}
 }
 
-func TestSoftThreshold4MatchesScalar(t *testing.T) {
-	f := func(raw []float64, tRaw float64) bool {
-		t0 := math.Abs(math.Mod(tRaw, 5))
-		u := make([]float64, len(raw))
-		for i, v := range raw {
-			u[i] = math.Mod(v, 10)
-			if math.IsNaN(u[i]) {
-				u[i] = 0
-			}
+// shrinkMatches reports whether ShrinkBranchless equals SoftThreshold
+// in every lane of u.
+func shrinkMatches[T Float](u []T, t T) bool {
+	want := make([]T, len(u))
+	SoftThreshold(want, u, t)
+	for i, v := range u {
+		if ShrinkBranchless(v, t) != want[i] {
+			return false
 		}
-		d1 := make([]float64, len(u))
-		d2 := make([]float64, len(u))
-		SoftThreshold(d1, u, t0)
-		SoftThreshold4(d2, u, t0)
-		for i := range d1 {
-			if !almostEq(d1[i], d2[i], 1e-12) {
-				return false
-			}
+	}
+	return true
+}
+
+// TestShrinkBranchlessMatchesSoftThreshold checks the if-converted
+// shrinkage lane by lane against the branchy SoftThreshold at both
+// precisions. The values are equal exactly; only the sign of a zero may
+// differ, which == ignores.
+func TestShrinkBranchlessMatchesSoftThreshold(t *testing.T) {
+	f := func(seed uint64, n uint8) bool {
+		g := rng.New(seed)
+		t0 := 5 * g.Float64()
+		// The threshold, its neighbours and signed zeros sit on the
+		// branches' boundaries.
+		u := []float64{t0, -t0, math.Nextafter(t0, 0), math.Nextafter(t0, 10), 0, math.Copysign(0, -1)}
+		for range int(n) {
+			u = append(u, 10*(2*g.Float64()-1))
 		}
-		return true
+		u32 := make([]float32, len(u))
+		for i, v := range u {
+			u32[i] = float32(v)
+		}
+		return shrinkMatches(u, t0) && shrinkMatches(u32, float32(t0))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -165,13 +179,6 @@ func TestSubCombine(t *testing.T) {
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Errorf("Sub[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-	d4 := make([]float64, 5)
-	Sub4(d4, a, b)
-	for i := range want {
-		if d4[i] != want[i] {
-			t.Errorf("Sub4[%d] = %v, want %v", i, d4[i], want[i])
 		}
 	}
 }
@@ -354,11 +361,15 @@ func BenchmarkKernelScalarSoftThresh512(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelUnrolledSoftThresh512(b *testing.B) {
+// BenchmarkKernelBranchlessSoftThresh512 is the if-converted
+// counterpart of BenchmarkKernelScalarSoftThresh512 (Fig. 4).
+func BenchmarkKernelBranchlessSoftThresh512(b *testing.B) {
 	x, _, dst := benchVecs(512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SoftThreshold4(dst, x, 2)
+		for j, v := range x {
+			dst[j] = ShrinkBranchless(v, 2)
+		}
 	}
 }
 
@@ -397,7 +408,7 @@ func BenchmarkDenseMatVec256x512(b *testing.B) {
 }
 
 // TestDistNorm2MatchesNorm2OfSub checks the allocation-free distance
-// against the two-step Norm2(Sub4(a, b)) it replaces in the solver's
+// against the two-step Norm2(Sub(a, b)) it replaces in the solver's
 // stopping rule, bit for bit, over lengths that hit the 4-wide tail.
 func TestDistNorm2MatchesNorm2OfSub(t *testing.T) {
 	state := uint64(0x9e37_79b9_7f4a_7c15)
@@ -418,13 +429,13 @@ func TestDistNorm2MatchesNorm2OfSub(t *testing.T) {
 			a32[i], b32[i] = float32(a64[i]), float32(b64[i])
 		}
 		d64, d32 := make([]float64, n), make([]float32, n)
-		Sub4(d64, a64, b64)
-		Sub4(d32, a32, b32)
+		Sub(d64, a64, b64)
+		Sub(d32, a32, b32)
 		if got, want := DistNorm2(a64, b64), Norm2(d64); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("float64 n=%d: DistNorm2 = %v, Norm2(Sub4) = %v", n, got, want)
+			t.Errorf("float64 n=%d: DistNorm2 = %v, Norm2(Sub) = %v", n, got, want)
 		}
 		if got, want := DistNorm2(a32, b32), Norm2(d32); math.Float32bits(got) != math.Float32bits(want) {
-			t.Errorf("float32 n=%d: DistNorm2 = %v, Norm2(Sub4) = %v", n, got, want)
+			t.Errorf("float32 n=%d: DistNorm2 = %v, Norm2(Sub) = %v", n, got, want)
 		}
 	}
 }

@@ -16,8 +16,6 @@ const (
 	// AlgoFISTA is the paper's solver (with continuation when the
 	// caller requests stages > 1).
 	AlgoFISTA Algorithm = iota
-	// AlgoISTA is the unaccelerated baseline.
-	AlgoISTA
 	// AlgoGPSR is gradient projection for sparse reconstruction — the
 	// ladder's fallback: its BB-stepped projected-gradient iterations
 	// reach a clinically usable iterate in fewer iterations than FISTA
@@ -30,8 +28,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case AlgoFISTA:
 		return "fista"
-	case AlgoISTA:
-		return "ista"
 	case AlgoGPSR:
 		return "gpsr"
 	}
@@ -46,8 +42,6 @@ func Solve[T linalg.Float](algo Algorithm, a linalg.Op[T], y []T, opt Options[T]
 	switch algo {
 	case AlgoFISTA:
 		return FISTAContinuation(a, y, opt, stages)
-	case AlgoISTA:
-		return ISTA(a, y, opt)
 	case AlgoGPSR:
 		return GPSR(a, y, opt)
 	}

@@ -35,7 +35,7 @@ func TestFISTAIterationsAllocateNothing(t *testing.T) {
 	lip := 2 * linalg.PowerIterOpNorm(a, 30)
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			r, err := FISTA(a, y, Options[float32]{MaxIter: iters, Tol: -1, Lambda: 0.01, Lipschitz: lip, Vectorized: true})
+			r, err := FISTA(a, y, Options[float32]{MaxIter: iters, Tol: -1, Lambda: 0.01, Lipschitz: lip})
 			if err != nil {
 				t.Fatal(err)
 			}

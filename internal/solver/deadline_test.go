@@ -122,7 +122,7 @@ func TestContinuationClampsPerStage(t *testing.T) {
 func TestSolveDispatch(t *testing.T) {
 	op, y, _ := sparseProblem(96, 192, 6, 15)
 	opt := Options[float64]{MaxIter: 80, Tol: -1, Lambda: 1e-3}
-	for _, algo := range []Algorithm{AlgoFISTA, AlgoISTA, AlgoGPSR} {
+	for _, algo := range []Algorithm{AlgoFISTA, AlgoGPSR} {
 		res, err := Solve(algo, op, y, opt, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)

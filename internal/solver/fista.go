@@ -12,10 +12,10 @@
 //
 // The solvers are generic over float32/float64. The float32 instance is
 // the paper's "iPhone (32-bit)" decoder and the float64 instance the
-// "Matlab (64-bit)" reference of Fig. 6. A Vectorized option switches
-// the inner kernels between the scalar ("VFP") and 4-wide unrolled
-// ("NEON") variants, which the coordinator cycle model prices
-// differently.
+// "Matlab (64-bit)" reference of Fig. 6. The paper's VFP-versus-NEON
+// comparison is not a solver option: both builds run the same update
+// passes here, and the coordinator's cycle model prices an iteration
+// per build.
 package solver
 
 import (
@@ -43,9 +43,6 @@ type Options[T linalg.Float] struct {
 	// Lipschitz is the constant L = 2·λmax(AᵀA). If zero, it is
 	// estimated by power iteration (30 rounds) before the run.
 	Lipschitz T
-	// Vectorized selects the 4-wide unrolled kernels (the NEON path).
-	// The scalar path is the VFP reference.
-	Vectorized bool
 	// X0, when non-nil, warm-starts the iteration. The packet decoder
 	// passes the previous window's solution: consecutive ECG windows are
 	// quasi-periodic, so the run starts near the answer. FISTA's
@@ -120,8 +117,8 @@ type Result[T linalg.Float] struct {
 // the paper) and the gradient-scheme adaptive restart of O'Donoghue &
 // Candès (2015): whenever (y_k − α_k)ᵀ(α_k − α_{k−1}) > 0 the momentum
 // is dropped (t_{k+1} = 1, y_{k+1} = α_k). Restart changes no stopping
-// rule or option; both kernel shapes run it. It returns an error only
-// for structural problems (shape mismatch, nil operator).
+// rule or option. It returns an error only for structural problems
+// (shape mismatch, nil operator).
 func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], error) {
 	st, err := newState(a, y, &opt)
 	if err != nil {
@@ -143,10 +140,6 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 	dl := newDeadline(&opt)
 	res := Result[T]{Lambda: opt.Lambda, Lipschitz: opt.Lipschitz}
 	step, thr := 1/opt.Lipschitz, opt.Lambda/opt.Lipschitz
-	pass := fistaStep[T]
-	if st.vec {
-		pass = fistaStepFused[T]
-	}
 	for k := 1; k <= opt.MaxIter; k++ {
 		// grad holds the half-gradient Aᵀ(Ay_k − y); the update pass
 		// doubles it.
@@ -162,7 +155,7 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 		beta := (tk - 1) / tNext
 		// α_k = prox_{λ/L}(y_k − (1/L)∇f(y_k)), Eq. (4), and
 		// y_{k+1} = α_k + β(α_k − α_{k−1}), Eq. (6), in one pass.
-		p := pass(alpha, alphaPrev, yk, grad, step, thr, beta, opt.Tol >= 0)
+		p := fistaStepFused(alpha, alphaPrev, yk, grad, step, thr, beta, opt.Tol >= 0)
 		tk = tNext
 		if p.Restart > 0 {
 			// Gradient-scheme adaptive restart (O'Donoghue & Candès
@@ -229,14 +222,8 @@ func ISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], err
 		if opt.Trace != nil {
 			residual = linalg.Norm2(st.r)
 		}
-		step := 1 / opt.Lipschitz
-		if st.vec {
-			linalg.Axpy4(-step, grad, alpha)
-			linalg.SoftThreshold4(alpha, alpha, opt.Lambda/opt.Lipschitz)
-		} else {
-			linalg.Axpy(-step, grad, alpha)
-			linalg.SoftThreshold(alpha, alpha, opt.Lambda/opt.Lipschitz)
-		}
+		linalg.Axpy(-1/opt.Lipschitz, grad, alpha)
+		linalg.SoftThreshold(alpha, alpha, opt.Lambda/opt.Lipschitz)
 		res.Iterations = k
 		if opt.Monitor != nil {
 			opt.Monitor(k, st.objective(alpha, opt.Lambda))
@@ -262,12 +249,11 @@ func ISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], err
 	return res, nil
 }
 
-// state carries the shared scratch buffers and kernels of a run.
+// state carries the operator, measurement and residual buffer of a run.
 type state[T linalg.Float] struct {
-	a   linalg.Op[T]
-	y   []T
-	r   []T // residual buffer, length M
-	vec bool
+	a linalg.Op[T]
+	y []T
+	r []T // residual buffer, length M
 }
 
 func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T], error) {
@@ -283,7 +269,7 @@ func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T]
 	if opt.Tol == 0 {
 		opt.Tol = 1e-4
 	}
-	st := &state[T]{a: a, y: y, r: make([]T, a.OutDim), vec: opt.Vectorized}
+	st := &state[T]{a: a, y: y, r: make([]T, a.OutDim)}
 	if opt.Lipschitz <= 0 {
 		opt.Lipschitz = 2 * linalg.PowerIterOpNorm(a, 30)
 		if opt.Lipschitz <= 0 {
@@ -305,22 +291,14 @@ func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T]
 // residual Ax − y in st.r.
 func (st *state[T]) halfGradient(dst, x []T) {
 	st.a.Apply(st.r, x)
-	if st.vec {
-		linalg.Sub4(st.r, st.r, st.y)
-	} else {
-		linalg.Sub(st.r, st.r, st.y)
-	}
+	linalg.Sub(st.r, st.r, st.y)
 	st.a.ApplyT(dst, st.r)
 }
 
 // gradient computes ∇f(x) = 2·Aᵀ(Ax − y) into dst.
 func (st *state[T]) gradient(dst, x []T) {
 	st.halfGradient(dst, x)
-	if st.vec {
-		linalg.Axpy4(1, dst, dst) // ×2 via dst += dst
-	} else {
-		linalg.Scale(2, dst)
-	}
+	linalg.Scale(2, dst)
 }
 
 func (st *state[T]) objective(x []T, lambda T) T {

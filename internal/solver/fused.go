@@ -19,8 +19,8 @@ type fistaPass[T linalg.Float] struct {
 	Norm, Step T
 }
 
-// fistaStepFused is the NEON-shaped FISTA update: one branch-free pass
-// over the coefficients that, for each i,
+// fistaStepFused is FISTA's update: one branch-free pass over the
+// coefficients that, for each i,
 //
 //   - doubles the half-gradient h = Aᵀ(Ay_k − y) into ∇f(y_k) = h + h,
 //   - takes the step y_k − ∇f/L and shrinks it branch-free into α_k,
@@ -31,7 +31,7 @@ type fistaPass[T linalg.Float] struct {
 // A second pass forms the two scaled sums of squares when norms is set.
 // Each sum runs in index order with one accumulator and divides by its
 // max, exactly as linalg.Norm2 does, so the stopping rule sees the same
-// bits as the two-kernel form it replaces.
+// bits as linalg.Norm2 and linalg.DistNorm2 would give.
 func fistaStepFused[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
 	n := len(alpha)
 	alphaPrev, yk, half = alphaPrev[:n], yk[:n], half[:n]
@@ -48,29 +48,6 @@ func fistaStepFused[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, b
 	pass := fistaPass[T]{Restart: ip}
 	if norms {
 		pass.Norm, pass.Step = stopNorms(alpha, alphaPrev, maxA, maxD)
-	}
-	return pass
-}
-
-// fistaStep is the VFP-shaped FISTA update: the same maths as
-// fistaStepFused in separate loops with the branchy soft threshold. The
-// step point u = y_k − ∇f/L lands in half, so y_k survives the
-// shrinkage for the restart product and is overwritten by y_{k+1} only
-// afterwards.
-func fistaStep[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
-	for i, h := range half {
-		half[i] = yk[i] - step*(h+h)
-	}
-	linalg.SoftThreshold(alpha, half, thr)
-	var ip T
-	for i, a := range alpha {
-		d := a - alphaPrev[i]
-		ip += (yk[i] - a) * d
-		yk[i] = a + beta*d
-	}
-	pass := fistaPass[T]{Restart: ip}
-	if norms {
-		pass.Norm, pass.Step = linalg.Norm2(alpha), linalg.DistNorm2(alpha, alphaPrev)
 	}
 	return pass
 }

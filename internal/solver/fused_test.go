@@ -41,9 +41,32 @@ func stepInputs[T linalg.Float](n int, seed uint64, thr T) (alphaPrev, yk, half 
 	return alphaPrev, yk, half
 }
 
-// checkStepNorms runs both pass shapes on one input and checks that
-// their stopping values are linalg.Norm2(α_k) and
-// linalg.DistNorm2(α_k, α_{k−1}) bit for bit, and that the shapes agree.
+// fistaStep is the plain-loop reference for fistaStepFused: the same
+// maths in separate loops with the branchy soft threshold. The step
+// point u = y_k − ∇f/L lands in half, so y_k survives the shrinkage for
+// the restart product and is overwritten by y_{k+1} only afterwards.
+func fistaStep[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
+	for i, h := range half {
+		half[i] = yk[i] - step*(h+h)
+	}
+	linalg.SoftThreshold(alpha, half, thr)
+	var ip T
+	for i, a := range alpha {
+		d := a - alphaPrev[i]
+		ip += (yk[i] - a) * d
+		yk[i] = a + beta*d
+	}
+	pass := fistaPass[T]{Restart: ip}
+	if norms {
+		pass.Norm, pass.Step = linalg.Norm2(alpha), linalg.DistNorm2(alpha, alphaPrev)
+	}
+	return pass
+}
+
+// checkStepNorms runs the fused pass and the plain-loop reference on
+// one input and checks that their stopping values are linalg.Norm2(α_k)
+// and linalg.DistNorm2(α_k, α_{k−1}) bit for bit, and that the two
+// agree.
 func checkStepNorms[T linalg.Float](t *testing.T, n int, thr T) {
 	t.Helper()
 	alphaPrev, yk, half := stepInputs(n, uint64(n)+7, thr)

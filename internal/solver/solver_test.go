@@ -51,22 +51,6 @@ func TestFISTARecoversSparseVector(t *testing.T) {
 	}
 }
 
-func TestFISTAVectorizedMatchesScalar(t *testing.T) {
-	op, y, _ := sparseProblem(96, 192, 6, 2)
-	a, err := FISTA(op, y, Options[float64]{MaxIter: 300, Tol: -1, Lambda: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FISTA(op, y, Options[float64]{MaxIter: 300, Tol: -1, Lambda: 1e-3, Vectorized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The 4-wide kernels reassociate sums; results agree to fp noise.
-	if e := relErr(a.X, b.X); e > 1e-8 {
-		t.Errorf("vectorized/scalar divergence %v", e)
-	}
-}
-
 func TestFISTAFasterThanISTA(t *testing.T) {
 	// After the same iteration budget, FISTA's objective must be lower
 	// (O(1/k²) vs O(1/k), Section II-B).
@@ -401,7 +385,7 @@ func BenchmarkFISTA512x256Iters100Float32(b *testing.B) {
 	lip := 2 * linalg.PowerIterOpNorm(a, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FISTA(a, y, Options[float32]{MaxIter: 100, Tol: -1, Lambda: 0.01, Lipschitz: lip, Vectorized: true}); err != nil {
+		if _, err := FISTA(a, y, Options[float32]{MaxIter: 100, Tol: -1, Lambda: 0.01, Lipschitz: lip}); err != nil {
 			b.Fatal(err)
 		}
 	}

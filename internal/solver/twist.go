@@ -63,14 +63,8 @@ func TwIST[T linalg.Float](a linalg.Op[T], y []T, opt TwISTOptions[T]) (Result[T
 		// IST step Γ(α_t) with the 1/L normalized gradient.
 		st.gradient(grad, cur)
 		copy(gammaT, cur)
-		step := 1 / opt.Lipschitz
-		if st.vec {
-			linalg.Axpy4(-step, grad, gammaT)
-			linalg.SoftThreshold4(gammaT, gammaT, opt.Lambda/opt.Lipschitz)
-		} else {
-			linalg.Axpy(-step, grad, gammaT)
-			linalg.SoftThreshold(gammaT, gammaT, opt.Lambda/opt.Lipschitz)
-		}
+		linalg.Axpy(-1/opt.Lipschitz, grad, gammaT)
+		linalg.SoftThreshold(gammaT, gammaT, opt.Lambda/opt.Lipschitz)
 		// Two-step combination.
 		for i := range next {
 			next[i] = (1-gamma)*prev[i] + (gamma-beta)*cur[i] + beta*gammaT[i]

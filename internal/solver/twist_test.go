@@ -90,21 +90,6 @@ func TestTwISTErrors(t *testing.T) {
 	}
 }
 
-func TestTwISTVectorizedMatchesScalar(t *testing.T) {
-	op, y, _ := sparseProblem(96, 192, 6, 46)
-	a, err := TwIST(op, y, TwISTOptions[float64]{Options: Options[float64]{MaxIter: 200, Tol: -1, Lambda: 1e-3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TwIST(op, y, TwISTOptions[float64]{Options: Options[float64]{MaxIter: 200, Tol: -1, Lambda: 1e-3, Vectorized: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := relErr(a.X, b.X); e > 1e-8 {
-		t.Errorf("vectorized/scalar divergence %v", e)
-	}
-}
-
 func BenchmarkTwIST128x256Iters100(b *testing.B) {
 	op, y, _ := sparseProblem(128, 256, 8, 47)
 	lip := 2 * linalg.PowerIterOpNorm(op, 30)

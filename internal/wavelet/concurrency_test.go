@@ -41,7 +41,7 @@ func sharedOperatorsConcurrent[T linalg.Float](t *testing.T) {
 		x := ecgLike[T](n, uint64(job+1))
 		y := make([]T, m)
 		a.Apply(y, x)
-		r, err := solver.FISTA(a, y, solver.Options[T]{MaxIter: 40, Tol: -1, Lipschitz: lip, Vectorized: true})
+		r, err := solver.FISTA(a, y, solver.Options[T]{MaxIter: 40, Tol: -1, Lipschitz: lip})
 		if err != nil {
 			return output{}, err
 		}

@@ -27,9 +27,12 @@ type StreamConfig struct {
 	Seconds float64
 	// Params configures the pipeline.
 	Params Params
-	// Mode selects the coordinator build (default ModeNEON).
+	// Mode selects the coordinator build the cycle model prices. The
+	// zero value is ModeVFP, whose iteration budget is the smaller one.
 	Mode coordinator.Mode
 	// Link configures the data downlink (zero value → DefaultLinkConfig).
+	// RunStream does not model mote clock drift, so ClockDriftPPM must
+	// be zero here and in ControlLink; the chaos harness models it.
 	Link LinkConfig
 	// Transport configures the coordinator's fault-tolerant receive
 	// path. The zero value reproduces the paper's baseline: losses are
@@ -152,6 +155,12 @@ type StreamReport struct {
 
 // RunStream executes the full pipeline and returns the session report.
 func RunStream(cfg StreamConfig) (*StreamReport, error) {
+	if cfg.Link.ClockDriftPPM != 0 {
+		return nil, fmt.Errorf("csecg: StreamConfig.Link.ClockDriftPPM = %v: RunStream does not model clock drift", cfg.Link.ClockDriftPPM)
+	}
+	if cfg.ControlLink != nil && cfg.ControlLink.ClockDriftPPM != 0 {
+		return nil, fmt.Errorf("csecg: StreamConfig.ControlLink.ClockDriftPPM = %v: RunStream does not model clock drift", cfg.ControlLink.ClockDriftPPM)
+	}
 	if cfg.RecordID == "" {
 		cfg.RecordID = "100"
 	}
