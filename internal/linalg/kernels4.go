@@ -1,6 +1,6 @@
 package linalg
 
-// Unrolled and branch-free kernels.
+// Unrolled and if-converted kernels.
 //
 // These carry two of the three vectorization techniques of Section IV-B
 // of the paper:
@@ -13,7 +13,12 @@ package linalg
 //   - if-conversion for the soft-threshold sign selection (Fig. 4):
 //     ShrinkBranchless uses comparison results as arithmetic values
 //     instead of branches. It is the shrinkage inside the solver's
-//     fused FISTA update pass.
+//     fused FISTA update pass. The Go compiler (go1.24, amd64) does not
+//     lower those comparisons to conditional moves: it emits UCOMISS
+//     and a conditional jump for each. The if-conversion Fig. 4
+//     describes happens on the host in the solver's AVX2 fused-pass
+//     kernel (internal/solver/fused_amd64.s), where each comparison is
+//     a VCMPPS lane mask applied with VANDPS and VBLENDVPS.
 //
 // The third, outer-loop vectorization of two-level filter loops
 // (Fig. 5), lives in the wavelet filter-bank kernels
@@ -58,15 +63,17 @@ func Axpy4[T Float](alpha T, x, dst []T) {
 	}
 }
 
-// ShrinkBranchless computes sign(v)·max(|v|−t, 0) without branches:
-// comparisons become 0/1 values exactly as in the paper's NEON
-// implementation (vcgt + vbsl), which the Go compiler lowers to
-// conditional moves. It equals SoftThreshold lane by lane (up to the
-// sign of a zero) and is exported for fused solver passes that shrink
-// inside a wider update.
+// ShrinkBranchless computes sign(v)·max(|v|−t, 0) in the if-converted
+// form of the paper's NEON implementation (vcgt + vbsl): comparisons
+// become 0/1 values that multiply, instead of choosing between
+// branches. The Go compiler does not keep that form on amd64; it
+// compiles each comparison to a compare and a conditional jump, so only
+// the solver's AVX2 kernel runs it without branches. It equals
+// SoftThreshold lane by lane (up to the sign of a zero) and is exported
+// for fused solver passes that shrink inside a wider update.
 func ShrinkBranchless[T Float](v, t T) T {
 	av := v
-	if av < 0 { // |v|: compiles to ANDPS/conditional move, no branch needed
+	if av < 0 { // |v| by a sign flip; −0 and NaN keep their sign
 		av = -v
 	}
 	m := av - t

@@ -2,7 +2,7 @@
 // reconstruction uses: vector arithmetic, dense matrix-vector products
 // for the Gaussian sensing baseline, and operator-norm estimation.
 //
-// kernels4.go holds the unrolled (Dot4, Axpy4) and branch-free
+// kernels4.go holds the unrolled (Dot4, Axpy4) and if-converted
 // (ShrinkBranchless) shapes of the paper's vectorization study
 // (Section IV-B, Figs. 3-4); their micro-benchmarks run next to the
 // plain loops. Gather8 sums the sparse sensing matrix's rows 8 lanes

@@ -21,24 +21,26 @@ func TestDotBasic(t *testing.T) {
 	}
 }
 
+// TestDot4MatchesDot checks the 4-accumulator inner product against
+// the ordered one on seeded fractional draws of every tail length,
+// signed zeros included. Reassociation moves the sum by at most a few
+// ulps of Σ|aᵢbᵢ|.
 func TestDot4MatchesDot(t *testing.T) {
-	f := func(raw []float64) bool {
-		a := make([]float64, len(raw))
-		b := make([]float64, len(raw))
-		for i, v := range raw {
-			// Keep magnitudes sane so reassociation error stays tiny.
-			a[i] = math.Mod(v, 100)
-			b[i] = math.Mod(v*3.7, 100)
-			if math.IsNaN(a[i]) || math.IsNaN(b[i]) {
-				a[i], b[i] = 1, 1
+	g := rng.New(4)
+	for trial := range 400 {
+		n := trial % 67
+		a, b := make([]float64, n), make([]float64, n)
+		var scale float64
+		for i := range a {
+			a[i], b[i] = 200*g.Float64()-100, 7.3*g.NormFloat64()
+			if g.Intn(8) == 0 {
+				a[i] = math.Copysign(0, float64(g.Intn(2)-1))
 			}
+			scale += math.Abs(a[i] * b[i])
 		}
-		want := Dot(a, b)
-		got := Dot4(a, b)
-		return almostEq(got, want, 1e-6*(1+math.Abs(want)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		if got, want := Dot4(a, b), Dot(a, b); !almostEq(got, want, 1e-13*scale) {
+			t.Fatalf("n=%d: Dot4 = %v, Dot = %v", n, got, want)
+		}
 	}
 }
 
@@ -127,21 +129,53 @@ func TestShrinkBranchlessMatchesSoftThreshold(t *testing.T) {
 	}
 }
 
-func TestSoftThresholdShrinksTowardZero(t *testing.T) {
-	// Property: |prox(u)| ≤ |u| and sign preserved (or zero).
-	f := func(v, tRaw float64) bool {
-		tt := math.Abs(math.Mod(tRaw, 3))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-		got := ShrinkBranchless(v, tt)
-		if math.Abs(got) > math.Abs(v)+1e-12 {
-			return false
-		}
-		return got == 0 || (got > 0) == (v > 0)
+// shrinkExact reports whether ShrinkBranchless(v, t) is the soft
+// threshold of v exactly: 0 where |v| ≤ t, and otherwise v ∓ t, which
+// keeps v's sign and is no larger than |v|.
+func shrinkExact[T Float](v, t T) bool {
+	got := ShrinkBranchless(v, t)
+	switch {
+	case v > t:
+		return got == v-t && got > 0 && got <= v
+	case v < -t:
+		return got == v+t && got < 0 && got >= v
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	return got == 0
+}
+
+// TestSoftThresholdShrinksTowardZero checks the shrinkage against the
+// exact soft threshold at both precisions on seeded draws: fractional
+// values, v = ±t and the float neighbours on either side, ±0, and t = 0
+// as well as fractional and integer thresholds.
+func TestSoftThresholdShrinksTowardZero(t *testing.T) {
+	g := rng.New(130)
+	for trial := range 300 {
+		var t0 float64
+		switch trial % 3 {
+		case 1:
+			t0 = 3 * g.Float64()
+		case 2:
+			t0 = float64(g.Intn(4))
+		}
+		vs := []float64{0, math.Copysign(0, -1)}
+		for _, b := range []float64{t0, -t0} {
+			vs = append(vs, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
+		}
+		for range 16 {
+			vs = append(vs, 20*g.Float64()-10)
+		}
+		t32 := float32(t0)
+		for _, v := range vs {
+			if !shrinkExact(v, t0) {
+				t.Fatalf("float64 t=%v: ShrinkBranchless(%v) = %v", t0, v, ShrinkBranchless(v, t0))
+			}
+			v32 := float32(v)
+			for _, w := range []float32{v32, math.Nextafter32(v32, 100), math.Nextafter32(v32, -100)} {
+				if !shrinkExact(w, t32) {
+					t.Fatalf("float32 t=%v: ShrinkBranchless(%v) = %v", t32, w, ShrinkBranchless(w, t32))
+				}
+			}
+		}
 	}
 }
 

@@ -19,11 +19,12 @@ type fistaPass[T linalg.Float] struct {
 	Norm, Step T
 }
 
-// fistaStepFused is FISTA's update: one branch-free pass over the
-// coefficients that, for each i,
+// fistaStepFused is FISTA's update: one pass over the coefficients
+// that, for each i,
 //
 //   - doubles the half-gradient h = Aᵀ(Ay_k − y) into ∇f(y_k) = h + h,
-//   - takes the step y_k − ∇f/L and shrinks it branch-free into α_k,
+//   - takes the step y_k − ∇f/L and shrinks it with
+//     linalg.ShrinkBranchless into α_k,
 //   - writes y_{k+1} = α_k + β(α_k − α_{k−1}) over y_k,
 //   - accumulates the restart product from the y_k it just read, and
 //   - takes the max-abs of α_k and of α_k − α_{k−1}.
@@ -32,7 +33,23 @@ type fistaPass[T linalg.Float] struct {
 // Each sum runs in index order with one accumulator and divides by its
 // max, exactly as linalg.Norm2 does, so the stopping rule sees the same
 // bits as linalg.Norm2 and linalg.DistNorm2 would give.
+//
+// float32 runs on the AVX2 kernels where linalg.HasAVX2 reports true
+// (fistaStepAVX2); every other element type and CPU runs fistaStepLoop.
+// Both compute the same bits. half is scratch: the kernel path leaves
+// the restart products in it.
 func fistaStepFused[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
+	if a32, ok := any(alpha).([]float32); ok && linalg.HasAVX2() {
+		p := fistaStepAVX2(a32, any(alphaPrev).([]float32), any(yk).([]float32), any(half).([]float32),
+			float32(step), float32(thr), float32(beta), norms)
+		return fistaPass[T]{Restart: T(p.Restart), Norm: T(p.Norm), Step: T(p.Step)}
+	}
+	return fistaStepLoop(alpha, alphaPrev, yk, half, step, thr, beta, norms)
+}
+
+// fistaStepLoop is fistaStepFused in Go, one coefficient at a time. It
+// leaves half unchanged.
+func fistaStepLoop[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
 	n := len(alpha)
 	alphaPrev, yk, half = alphaPrev[:n], yk[:n], half[:n]
 	var ip, maxA, maxD T
@@ -52,19 +69,34 @@ func fistaStepFused[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, b
 	return pass
 }
 
+// fistaStepAVX2 is fistaStepFused on the AVX2 kernels of
+// fused_amd64.s, in two passes. fistaUpdate8 runs the update 8 lanes at
+// a time and writes each coefficient's restart product over half, which
+// the next gradient evaluation overwrites anyway. Once both maxima are
+// known, fistaSums8 runs the restart sum and the two sums of squares as
+// three ordered scalar chains, so every reduction is fistaStepLoop's
+// ordered sum and the result is its bits. The chains stay in assembly
+// to the last coefficient: which operand of a commutative add the Go
+// compiler puts first depends on the loop around it, and that decides
+// which payload a NaN + NaN keeps. Only call it where linalg.HasAVX2
+// reports true.
+func fistaStepAVX2(alpha, alphaPrev, yk, half []float32, step, thr, beta float32, norms bool) fistaPass[float32] {
+	n := len(alpha)
+	alphaPrev, yk, half = alphaPrev[:n], yk[:n], half[:n]
+	maxA, maxD := fistaUpdate8(alpha, alphaPrev, yk, half, step, thr, beta)
+	ip, sa, sd := fistaSums8(alpha, alphaPrev, half, normScale(maxA), normScale(maxD))
+	pass := fistaPass[float32]{Restart: ip}
+	if norms {
+		pass.Norm, pass.Step = scaledNorm(maxA, sa), scaledNorm(maxD, sd)
+	}
+	return pass
+}
+
 // stopNorms finishes ‖a‖₂ and ‖a − b‖₂ from their max-abs values in one
-// pass. A zero max short-circuits to zero as in linalg.Norm2; dividing
-// by 1 instead keeps that lane's sum finite without a branch in the
-// loop.
+// pass.
 func stopNorms[T linalg.Float](a, b []T, maxA, maxD T) (normA, normD T) {
 	b = b[:len(a)]
-	da, dd := maxA, maxD
-	if da == 0 {
-		da = 1
-	}
-	if dd == 0 {
-		dd = 1
-	}
+	da, dd := normScale(maxA), normScale(maxD)
 	var sa, sd T
 	for i := range a {
 		ra := a[i] / da
@@ -72,13 +104,27 @@ func stopNorms[T linalg.Float](a, b []T, maxA, maxD T) (normA, normD T) {
 		rd := (a[i] - b[i]) / dd
 		sd += rd * rd
 	}
-	if maxA != 0 {
-		normA = maxA * T(math.Sqrt(float64(sa)))
+	return scaledNorm(maxA, sa), scaledNorm(maxD, sd)
+}
+
+// normScale is the divisor of a scaled sum of squares: the max-abs m,
+// or 1 when m is zero, which keeps the sum finite without a branch in
+// the loop.
+func normScale[T linalg.Float](m T) T {
+	if m == 0 {
+		return 1
 	}
-	if maxD != 0 {
-		normD = maxD * T(math.Sqrt(float64(sd)))
+	return m
+}
+
+// scaledNorm is m·√s, the norm whose max-abs is m and whose sum of
+// squares scaled by m is s; a zero max short-circuits to zero as in
+// linalg.Norm2.
+func scaledNorm[T linalg.Float](m, s T) T {
+	if m == 0 {
+		return 0
 	}
-	return normA, normD
+	return m * T(math.Sqrt(float64(s)))
 }
 
 // maxAbs folds |v| into the running maximum m with linalg.Norm2's
