@@ -59,14 +59,17 @@ cross-build:
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) test ./internal/linalg ./internal/solver ./internal/sensing ./internal/wavelet
 
-# perfbench-build vets, builds and short-tests the nested _perfbench
-# module, which the root ./... pattern skips: an export it uses that
-# disappears would otherwise break only the benchmark. The binary goes
-# to /dev/null; a bare `go build ./...` there would leave one behind.
+# perfbench-build vets, builds and tests the nested _perfbench module,
+# which the root ./... pattern skips: an export it uses that disappears
+# would otherwise break only the benchmark. The tests run without
+# -short, so TestTracedDecodeReproducesReference checks that the traced
+# rebuild (solver.FISTA and FISTAContinuation) and core.Decoder (its
+# solver.Workspace) decode bit for bit alike. The binary goes to
+# /dev/null; a bare `go build ./...` there would leave one behind.
 perfbench-build:
 	cd _perfbench && GOFLAGS= GOWORK=off $(GO) vet ./... && \
 		GOFLAGS= GOWORK=off $(GO) build -o /dev/null . && \
-		GOFLAGS= GOWORK=off $(GO) test -short ./...
+		GOFLAGS= GOWORK=off $(GO) test ./...
 
 test:
 	$(GO) test ./...

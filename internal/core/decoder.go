@@ -26,8 +26,12 @@ type Decoder[T linalg.Float] struct {
 	a     linalg.Op[T] // ΦΨ
 	lip   T            // cached Lipschitz constant 2‖A‖²
 	prevY []int32
-	// warmAlpha carries the previous window's solution as the FISTA
-	// warm start (quasi-periodicity makes it an excellent initializer).
+	// ws is the FISTA scratch every solve of the decoder's life runs in,
+	// sized once here so a warm window's solve allocates nothing.
+	ws *solver.Workspace[T]
+	// warmAlpha is the previous window's solution, the next solve's
+	// warm start. After a FISTA solve it is one of ws's buffers, which
+	// the next solve copies before it writes any of them.
 	warmAlpha []T
 	haveWarm  bool
 	nextSeq   uint32
@@ -52,7 +56,11 @@ type Decoder[T linalg.Float] struct {
 	Algorithm solver.Algorithm
 }
 
-// DecodeResult reports one reconstructed window.
+// DecodeResult reports one reconstructed window. The result and its
+// Samples, MV and StageIters belong to the caller: DecodePacket
+// allocates them on every call and never writes them again, and the
+// solver scratch it reuses stays inside the Decoder. So a caller may
+// hold the results of several windows at once.
 type DecodeResult[T linalg.Float] struct {
 	// Samples is the reconstructed window in raw ADC units
 	// (baseline restored).
@@ -109,6 +117,7 @@ func NewDecoder[T linalg.Float](p Params) (*Decoder[T], error) {
 		a:     a,
 		lip:   2 * linalg.PowerIterOpNorm(a, 30),
 		prevY: make([]int32, p.M),
+		ws:    solver.NewWorkspace(a),
 		y:     make([]T, p.M),
 		resid: make([]T, p.M),
 		SolverOptions: solver.Options[T]{
@@ -178,9 +187,9 @@ func (d *Decoder[T]) DecodePacket(pkt *Packet) (*DecodeResult[T], error) {
 	case d.Algorithm != solver.AlgoFISTA:
 		res, err = solver.Solve(d.Algorithm, d.a, y, opt, 1)
 	case d.haveWarm || d.ContinuationStages <= 1:
-		res, err = solver.FISTA(d.a, y, opt)
+		res, err = d.ws.FISTA(y, opt)
 	default:
-		res, err = solver.FISTAContinuation(d.a, y, opt, d.ContinuationStages)
+		res, err = d.ws.FISTAContinuation(y, opt, d.ContinuationStages)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: recovery: %w", err)

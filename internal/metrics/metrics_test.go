@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"csecg/internal/rng"
 )
 
 func TestCR(t *testing.T) {
@@ -108,12 +110,20 @@ func TestSNRRoundTrip(t *testing.T) {
 	if !math.IsInf(SNR(0), 1) {
 		t.Error("SNR(0) should be +Inf")
 	}
-	f := func(raw float64) bool {
-		prd := math.Abs(math.Mod(raw, 100)) + 0.001
-		return math.Abs(PRDFromSNR(SNR(prd))-prd) < 1e-9*prd
+	// Seeded fractional PRDs over six decades, plus the decade
+	// boundaries and their neighbours.
+	g := rng.New(112)
+	var prds []float64
+	for _, b := range []float64{1e-3, 0.01, 0.1, 1, 10, 100, 1000} {
+		prds = append(prds, b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)))
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	for range 300 {
+		prds = append(prds, math.Pow(10, 6*g.Float64()-3), 100*g.Float64()+1e-3)
+	}
+	for _, prd := range prds {
+		if got := PRDFromSNR(SNR(prd)); math.Abs(got-prd) > 1e-9*prd {
+			t.Fatalf("PRDFromSNR(SNR(%v)) = %v", prd, got)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package rng
 
+import "slices"
+
 // LCG16 is a 16-bit linear congruential generator sized for the
 // MSP430-class mote model. One draw costs a single 16×16→32 hardware
 // multiply plus an add, which is the cheapest way the node can
@@ -46,19 +48,18 @@ func (g *LCG16) Intn(n int) int {
 
 // SampleK writes k distinct integers from [0, n) into dst in ascending
 // order using repeated rejection, mirroring the mote's column-support
-// generation. It panics if k > n.
+// generation. It panics if k > n. Duplicates are found by scanning the
+// values drawn so far, which at the sensing matrix's column weight (12
+// by default) is cheaper than a set and allocates nothing.
 func (g *LCG16) SampleK(dst []int, k, n int) {
 	if k > n {
 		panic("rng: LCG16.SampleK with k > n")
 	}
-	seen := make(map[int]struct{}, k)
-	i := 0
-	for i < k {
+	for i := 0; i < k; {
 		v := g.Intn(n)
-		if _, dup := seen[v]; dup {
+		if slices.Contains(dst[:i], v) {
 			continue
 		}
-		seen[v] = struct{}{}
 		dst[i] = v
 		i++
 	}

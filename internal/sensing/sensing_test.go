@@ -3,10 +3,12 @@ package sensing
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"csecg/internal/linalg"
+	"csecg/internal/rng"
 )
 
 func TestSparseBinaryShape(t *testing.T) {
@@ -90,6 +92,53 @@ func TestLCGVariantMatchesItself(t *testing.T) {
 			t.Fatal("LCG supports differ for equal seeds")
 		}
 	}
+}
+
+// TestLCGSupportsMatchSetRejection pins the LCG supports to the
+// set-based rejection sampler that rng.LCG16.SampleK once ran: the same
+// draws and rejections must give the same sorted rows, so the mote and
+// every stored packet keep their sensing matrix.
+func TestLCGSupportsMatchSetRejection(t *testing.T) {
+	for _, c := range []struct {
+		m, n, d int
+		seed    uint16
+	}{
+		{256, 512, 12, 42},
+		{102, 512, 12, 42},
+		{24, 32, 24, 42}, // k = n: every row in every column
+	} {
+		phi, err := NewSparseBinaryLCG(c.m, c.n, c.d, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := rng.NewLCG16(c.seed)
+		for col := 0; col < c.n; col++ {
+			want := setRejectionSample(gen, c.d, c.m)
+			got := phi.Support(col)
+			for i, r := range want {
+				if int(got[i]) != r {
+					t.Fatalf("M=%d N=%d d=%d seed %d column %d: support %v, want %v", c.m, c.n, c.d, c.seed, col, got, want)
+				}
+			}
+		}
+	}
+}
+
+// setRejectionSample draws k distinct values from [0, n) by rejection
+// against a set and returns them sorted.
+func setRejectionSample(g *rng.LCG16, k, n int) []int {
+	seen := make(map[int]bool, k)
+	out := make([]int, 0, k)
+	for len(out) < k {
+		v := g.Intn(n)
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
 }
 
 func TestMeasureIntMatchesFloatOp(t *testing.T) {

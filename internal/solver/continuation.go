@@ -14,23 +14,30 @@ import (
 // order of magnitude. stages ≤ 1 degenerates to a single FISTA run.
 //
 // The returned Result aggregates the iterations of all stages and carries
-// the final stage's solution and objective.
+// the final stage's solution and objective. It runs in a fresh
+// Workspace, so the returned X is the caller's.
 func FISTAContinuation[T linalg.Float](a linalg.Op[T], y []T, opt Options[T], stages int) (Result[T], error) {
+	return NewWorkspace(a).FISTAContinuation(y, opt, stages)
+}
+
+// FISTAContinuation is the package-level FISTAContinuation run in w's
+// buffers. Only the returned StageIters is allocated; X is one of w's
+// buffers, as for Workspace.FISTA.
+func (w *Workspace[T]) FISTAContinuation(y []T, opt Options[T], stages int) (Result[T], error) {
 	if stages <= 1 {
-		return FISTA(a, y, opt)
+		return w.FISTA(y, opt)
 	}
 	// Resolve defaults once so every stage shares L and the λ target.
-	if _, err := newState(a, y, &opt); err != nil {
+	if err := resolve(w.a, y, &opt, w.aty); err != nil {
 		return Result[T]{}, err
 	}
 	// λ₀ = ‖Aᵀy‖∞ / 2: above that the solution is identically zero, so
 	// starting higher wastes stages.
-	aty := make([]T, a.InDim)
-	a.ApplyT(aty, y)
-	lam0 := linalg.NormInf(aty) / 2
+	w.a.ApplyT(w.aty, y)
+	lam0 := linalg.NormInf(w.aty) / 2
 	target := opt.Lambda
 	if lam0 <= target {
-		return FISTA(a, y, opt)
+		return w.fista(y, opt)
 	}
 	// Geometric schedule λ₀ → target over the stage count.
 	ratio := float64(target / lam0)
@@ -53,7 +60,7 @@ func FISTAContinuation[T linalg.Float](a linalg.Op[T], y []T, opt Options[T], st
 		stageOpt.MaxIter = perStage
 		stageOpt.X0 = x0
 		var err error
-		last, err = FISTA(a, y, stageOpt)
+		last, err = w.fista(y, stageOpt)
 		if err != nil {
 			return Result[T]{}, err
 		}

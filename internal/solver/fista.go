@@ -44,12 +44,16 @@ type Options[T linalg.Float] struct {
 	// estimated by power iteration (30 rounds) before the run.
 	Lipschitz T
 	// X0, when non-nil, warm-starts the iteration. The packet decoder
-	// passes the previous window's solution: consecutive ECG windows are
-	// quasi-periodic, so the run starts near the answer. FISTA's
-	// momentum then overshoots around that start, and its adaptive
-	// restart damps the overshoot; warm start and restart together set
-	// the per-packet iteration counts of Fig. 7 (continuation serves
-	// the cold key frames).
+	// passes the previous window's solution, and continuation passes
+	// each stage's result to the next. FISTA's momentum overshoots
+	// around a warm start, and its adaptive restart damps the
+	// overshoot. The previous window is not a better start than zero
+	// for today's solver: on stream-cr50 (seed 1, 24 sessions × 2
+	// twenty-window passes, NEON budget) the decoder's warm starts plus
+	// 6-stage cold continuation averaged 330.3 iterations per window at
+	// PRDN 8.902 %, while cold single-stage solves of every window
+	// averaged 295.0 at PRDN 8.897 %. In a Workspace solve, X0 may be
+	// the X of the workspace's previous solve.
 	X0 []T
 	// Monitor, when non-nil, is invoked each iteration with the current
 	// objective value F(α_k). Computing F costs one extra A·α per
@@ -112,6 +116,30 @@ type Result[T linalg.Float] struct {
 	StageIters []int
 }
 
+// Workspace holds the scratch of FISTA and FISTAContinuation for one
+// operator: the iterates α_k and α_{k−1}, the momentum point y_k, the
+// half-gradient, the residual Aα − y and the Aᵀy that the λ defaults
+// read. A caller that keeps one for many solves, as core.Decoder does
+// for its whole life, solves warm windows without allocating. A
+// Workspace serves one solve at a time.
+type Workspace[T linalg.Float] struct {
+	a                               linalg.Op[T]
+	alpha, alphaPrev, yk, grad, aty []T // length N
+	r                               []T // length M
+}
+
+// NewWorkspace allocates a workspace for solves over the operator a.
+func NewWorkspace[T linalg.Float](a linalg.Op[T]) *Workspace[T] {
+	n, m := a.InDim, a.OutDim
+	buf := make([]T, 5*n+m)
+	next := func(k int) []T {
+		v := buf[:k:k]
+		buf = buf[k:]
+		return v
+	}
+	return &Workspace[T]{a: a, alpha: next(n), alphaPrev: next(n), yk: next(n), grad: next(n), aty: next(n), r: next(m)}
+}
+
 // FISTA minimizes F(α) = ‖Aα−y‖₂² + λ‖α‖₁ with the fast iterative
 // shrinkage-thresholding algorithm (constant step size, Eqs. (4)-(6) of
 // the paper) and the gradient-scheme adaptive restart of O'Donoghue &
@@ -119,22 +147,37 @@ type Result[T linalg.Float] struct {
 // is dropped (t_{k+1} = 1, y_{k+1} = α_k). Restart changes no stopping
 // rule or option. It returns an error only for structural problems
 // (shape mismatch, nil operator).
+//
+// FISTA runs in a fresh Workspace, so the returned X is the caller's.
 func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], error) {
-	st, err := newState(a, y, &opt)
-	if err != nil {
+	return NewWorkspace(a).FISTA(y, opt)
+}
+
+// FISTA is the package-level FISTA run in w's buffers. The returned X
+// is one of them: it holds until w's next solve, and that solve may
+// take it back as Options.X0.
+func (w *Workspace[T]) FISTA(y []T, opt Options[T]) (Result[T], error) {
+	if err := resolve(w.a, y, &opt, w.aty); err != nil {
 		return Result[T]{}, err
 	}
-	n := a.InDim
-	alpha := make([]T, n)     // α_k
-	alphaPrev := make([]T, n) // α_{k−1}
-	yk := make([]T, n)        // momentum point y_k
-	grad := make([]T, n)
+	return w.fista(y, opt)
+}
+
+// fista runs the FISTA iteration with opt's defaults already resolved.
+func (w *Workspace[T]) fista(y []T, opt Options[T]) (Result[T], error) {
+	st := state[T]{a: w.a, y: y, r: w.r}
+	alpha, alphaPrev, yk, grad := w.alpha, w.alphaPrev, w.yk, w.grad
 	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return Result[T]{}, fmt.Errorf("solver: warm start length %d, want %d", len(opt.X0), n)
+		if len(opt.X0) != len(alpha) {
+			return Result[T]{}, fmt.Errorf("solver: warm start length %d, want %d", len(opt.X0), len(alpha))
 		}
+		// X0 may be one of w's buffers (the previous solve's X), so it
+		// is copied before anything else is written.
 		copy(alphaPrev, opt.X0)
-		copy(yk, opt.X0)
+		copy(yk, alphaPrev)
+	} else {
+		clear(alphaPrev)
+		clear(yk)
 	}
 	tk := T(1)
 	dl := newDeadline(&opt)
@@ -142,7 +185,7 @@ func FISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], er
 	step, thr := 1/opt.Lipschitz, opt.Lambda/opt.Lipschitz
 	for k := 1; k <= opt.MaxIter; k++ {
 		// grad holds the half-gradient Aᵀ(Ay_k − y); the update pass
-		// doubles it.
+		// doubles it. The pass writes every α_k, so α_k needs no reset.
 		st.halfGradient(grad, yk)
 		var residual T
 		if opt.Trace != nil {
@@ -256,12 +299,24 @@ type state[T linalg.Float] struct {
 	r []T // residual buffer, length M
 }
 
+// newState resolves opt's defaults for a run over a fresh residual
+// buffer.
 func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T], error) {
+	if err := resolve(a, y, opt, nil); err != nil {
+		return nil, err
+	}
+	return &state[T]{a: a, y: y, r: make([]T, a.OutDim)}, nil
+}
+
+// resolve checks a run's operator and measurement, then fills in opt's
+// MaxIter, Tol, Lipschitz and Lambda defaults. aty is the length-N
+// scratch for the λ default's Aᵀy; nil allocates it when needed.
+func resolve[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T], aty []T) error {
 	if a.Apply == nil || a.ApplyT == nil {
-		return nil, fmt.Errorf("solver: operator missing Apply/ApplyT")
+		return fmt.Errorf("solver: operator missing Apply/ApplyT")
 	}
 	if len(y) != a.OutDim {
-		return nil, fmt.Errorf("solver: measurement length %d, operator range %d", len(y), a.OutDim)
+		return fmt.Errorf("solver: measurement length %d, operator range %d", len(y), a.OutDim)
 	}
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 1000
@@ -269,22 +324,23 @@ func newState[T linalg.Float](a linalg.Op[T], y []T, opt *Options[T]) (*state[T]
 	if opt.Tol == 0 {
 		opt.Tol = 1e-4
 	}
-	st := &state[T]{a: a, y: y, r: make([]T, a.OutDim)}
 	if opt.Lipschitz <= 0 {
 		opt.Lipschitz = 2 * linalg.PowerIterOpNorm(a, 30)
 		if opt.Lipschitz <= 0 {
-			return nil, fmt.Errorf("solver: operator norm estimated as zero")
+			return fmt.Errorf("solver: operator norm estimated as zero")
 		}
 	}
 	if opt.Lambda <= 0 {
-		aty := make([]T, a.InDim)
+		if aty == nil {
+			aty = make([]T, a.InDim)
+		}
 		a.ApplyT(aty, y)
 		opt.Lambda = linalg.NormInf(aty) / 1000
 		if opt.Lambda == 0 {
 			opt.Lambda = 1e-6
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // halfGradient computes ½∇f(x) = Aᵀ(Ax − y) into dst, leaving the

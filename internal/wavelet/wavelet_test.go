@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"csecg/internal/linalg"
+	"csecg/internal/rng"
 )
 
 func TestDaubechiesHaar(t *testing.T) {
@@ -307,29 +308,48 @@ func TestLargestKEdge(t *testing.T) {
 }
 
 func TestLargestKProperty(t *testing.T) {
-	f := func(raw []float64, kRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		c := make([]float64, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
+	// Seeded fractional coefficients of mixed sign and scale, with
+	// zeros, −0 and repeated magnitudes (ties at the threshold).
+	g := rng.New(319)
+	for trial := range 200 {
+		n := 1 + g.Intn(64)
+		orig := make([]float64, n)
+		for i := range orig {
+			switch g.Intn(6) {
+			case 0:
+				orig[i] = 0
+			case 1:
+				orig[i] = math.Copysign(0, -1)
+			case 2:
+				if i > 0 {
+					orig[i] = -orig[g.Intn(i)]
+				}
+			default:
+				orig[i] = g.NormFloat64() * math.Pow(10, 4*g.Float64()-2)
 			}
-			c[i] = math.Mod(v, 1e6)
 		}
-		k := int(kRaw) % (len(c) + 1)
+		k := g.Intn(n + 2)
+		if trial%10 == 0 {
+			k = -1
+		}
+		c := append([]float64(nil), orig...)
 		LargestK(c, k)
 		nz := 0
-		for _, v := range c {
-			if v != 0 {
+		minKept, maxDropped := math.Inf(1), 0.0
+		for i, v := range c {
+			switch {
+			case v == 0 && orig[i] != 0:
+				maxDropped = math.Max(maxDropped, math.Abs(orig[i]))
+			case v != orig[i]:
+				t.Fatalf("n=%d k=%d: entry %d changed from %v to %v", n, k, i, orig[i], v)
+			case v != 0:
 				nz++
+				minKept = math.Min(minKept, math.Abs(v))
 			}
 		}
-		return nz <= k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		if nz > max(k, 0) || maxDropped > minKept {
+			t.Fatalf("n=%d k=%d: kept %d entries down to |%v|, dropped one of |%v|", n, k, nz, minKept, maxDropped)
+		}
 	}
 }
 
