@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -147,5 +148,36 @@ func TestChaosSpanTreesMatchStreamTrees(t *testing.T) {
 	}
 	if crc == 0 || crc > rep.CRCRejected {
 		t.Errorf("%d trees flagged crc for %d CRC rejects", crc, rep.CRCRejected)
+	}
+}
+
+// TestChaosMatrixReportPinned pins, per Matrix(true) scenario, every
+// report field Survived and the experiments table read: a change to the
+// session loop's receiver call sequence, fault injection or decode costs
+// moves a line.
+func TestChaosMatrixReportPinned(t *testing.T) {
+	want := []string{
+		"clean windows=36 decoded=36 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=290025381 bound=2000000000 maxrung=nominal final=nominal/decoding",
+		"bitflip windows=36 decoded=20 degraded=0 crc=5 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=193548156 bound=2000000000 maxrung=nominal final=nominal/decoding",
+		"burst-loss windows=36 decoded=16 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=227686251 bound=2000000000 maxrung=nominal final=nominal/decoding",
+		"reboot windows=36 decoded=36 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=1 p99=290025381 bound=2000000000 maxrung=nominal final=nominal/decoding",
+		"slowdown-burst windows=36 decoded=36 degraded=16 crc=0 shed=0 qpeak=4 contained=0 escaped=0 reboots=0 p99=1999601808 bound=2000000000 maxrung=reduced-iter final=nominal/decoding",
+		"panic-inject windows=36 decoded=20 degraded=0 crc=0 shed=0 qpeak=1 contained=5 escaped=0 reboots=0 p99=193548156 bound=2000000000 maxrung=nominal final=nominal/decoding",
+		"clock-drift windows=37 decoded=37 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=290025381 bound=2000000000 maxrung=nominal final=nominal/decoding",
+		"kitchen-sink windows=37 decoded=17 degraded=8 crc=2 shed=0 qpeak=4 contained=2 escaped=0 reboots=1 p99=1999601808 bound=2000000000 maxrung=reduced-iter final=nominal/decoding",
+	}
+	var got []string
+	for _, sc := range Matrix(true) {
+		rep, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%s windows=%d decoded=%d degraded=%d crc=%d shed=%d qpeak=%d contained=%d escaped=%d reboots=%d p99=%d bound=%d maxrung=%v final=%v/%v",
+			rep.Scenario, rep.Windows, rep.Decoded, rep.DegradedWindows, rep.CRCRejected, rep.Shed,
+			rep.QueuePeak, rep.ContainedPanics, rep.EscapedPanics, rep.Reboots, rep.P99DecodeNs,
+			rep.BoundNs, rep.MaxRung, rep.FinalRung, rep.FinalHealth))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("chaos reports moved:\ngot  %q\nwant %q", got, want)
 	}
 }

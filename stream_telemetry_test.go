@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
@@ -360,5 +361,25 @@ func TestStreamReportsCRCRejections(t *testing.T) {
 	// Rejected frames are losses: the session still recovers and decodes.
 	if rep.Decoded == 0 {
 		t.Fatal("nothing decoded under corruption")
+	}
+}
+
+// streamSpanDigest pins the span JSONL and the headline report figures
+// of the cached lossy NACK session (FNV-64a): a change to the session
+// loop's timeline, its receiver call sequence or its decodes moves it.
+const streamSpanDigest = 0x583901bcb6cd8b4a
+
+func TestStreamSpanDigest(t *testing.T) {
+	rep, recs, _ := streamChromeTrace(t)
+	h := fnv.New64a()
+	if err := WriteSpanTraceJSONL(h, recs); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(h, "%d %d %d %d %d %d %v %v %v %v %v %+v %+v %+v %+v",
+		rep.Windows, rep.Lost, rep.Decoded, rep.BadWindows, rep.CRCRejected, rep.Retransmits,
+		math.Float64bits(rep.MeanPRDN), math.Float64bits(rep.MeanEstPRDN), math.Float64bits(rep.WireCR),
+		rep.AirtimePerWindow, rep.LifetimeCS, rep.LinkStats, rep.ControlStats, rep.DecodeLatency, *rep.Display)
+	if got := h.Sum64(); got != streamSpanDigest {
+		t.Errorf("lossy NACK session digest %016x over %d span trees, want %016x", got, len(recs), uint64(streamSpanDigest))
 	}
 }
