@@ -299,11 +299,11 @@ func Run(sc Scenario) (*Report, error) {
 
 	rep := &Report{
 		Scenario: sc.Name,
-		BoundNs:  int64(2 * coordinator.RealTimeBudgetSeconds * float64(time.Second)),
 	}
 	rg := rng.New(sc.Seed ^ 0xEC6)
 	n := dec.Params().N
 	windowNs := time.Duration(float64(n) / core.FsMote * float64(time.Second))
+	rep.BoundNs = int64(windowNs)
 	slow := coordinator.DefaultCosts()
 	slow.VFPCyclesPerMAC *= sc.Slowdown
 	slow.NEONCyclesPerMAC *= sc.Slowdown

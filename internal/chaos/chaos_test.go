@@ -157,14 +157,14 @@ func TestChaosSpanTreesMatchStreamTrees(t *testing.T) {
 // moves a line.
 func TestChaosMatrixReportPinned(t *testing.T) {
 	want := []string{
-		"clean windows=36 decoded=36 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=290025381 bound=2000000000 maxrung=nominal final=nominal/decoding",
-		"bitflip windows=36 decoded=20 degraded=0 crc=5 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=193548156 bound=2000000000 maxrung=nominal final=nominal/decoding",
-		"burst-loss windows=36 decoded=16 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=227686251 bound=2000000000 maxrung=nominal final=nominal/decoding",
-		"reboot windows=36 decoded=36 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=1 p99=290025381 bound=2000000000 maxrung=nominal final=nominal/decoding",
-		"slowdown-burst windows=36 decoded=36 degraded=16 crc=0 shed=0 qpeak=4 contained=0 escaped=0 reboots=0 p99=1999601808 bound=2000000000 maxrung=reduced-iter final=nominal/decoding",
-		"panic-inject windows=36 decoded=20 degraded=0 crc=0 shed=0 qpeak=1 contained=5 escaped=0 reboots=0 p99=193548156 bound=2000000000 maxrung=nominal final=nominal/decoding",
-		"clock-drift windows=37 decoded=37 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=290025381 bound=2000000000 maxrung=nominal final=nominal/decoding",
-		"kitchen-sink windows=37 decoded=17 degraded=8 crc=2 shed=0 qpeak=4 contained=2 escaped=0 reboots=1 p99=1999601808 bound=2000000000 maxrung=reduced-iter final=nominal/decoding",
+		"clean windows=36 decoded=36 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=249950226 bound=500000000 maxrung=nominal final=nominal/decoding",
+		"bitflip windows=36 decoded=20 degraded=0 crc=5 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=182267742 bound=500000000 maxrung=nominal final=nominal/decoding",
+		"burst-loss windows=36 decoded=16 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=224420868 bound=500000000 maxrung=nominal final=nominal/decoding",
+		"reboot windows=36 decoded=36 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=1 p99=249950226 bound=500000000 maxrung=nominal final=nominal/decoding",
+		"slowdown-burst windows=36 decoded=36 degraded=16 crc=0 shed=0 qpeak=4 contained=0 escaped=0 reboots=0 p99=499900452 bound=500000000 maxrung=reduced-iter final=nominal/decoding",
+		"panic-inject windows=36 decoded=20 degraded=0 crc=0 shed=0 qpeak=1 contained=5 escaped=0 reboots=0 p99=182267742 bound=500000000 maxrung=nominal final=nominal/decoding",
+		"clock-drift windows=37 decoded=37 degraded=0 crc=0 shed=0 qpeak=1 contained=0 escaped=0 reboots=0 p99=249950226 bound=500000000 maxrung=nominal final=nominal/decoding",
+		"kitchen-sink windows=37 decoded=17 degraded=8 crc=2 shed=0 qpeak=4 contained=2 escaped=0 reboots=1 p99=499900452 bound=500000000 maxrung=reduced-iter final=nominal/decoding",
 	}
 	var got []string
 	for _, sc := range Matrix(true) {

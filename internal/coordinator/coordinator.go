@@ -11,8 +11,8 @@
 //     (the paper's measured end-to-end gain of the Section IV-B
 //     vectorization work is 2.43× at CR = 50);
 //   - the real-time iteration budget: reconstruction may spend at most
-//     1 second per 2-second packet, which admits ≈800 iterations on the
-//     VFP path and ≈2000 on the NEON path;
+//     half the packet period (1 second per 2-second packet), which admits
+//     ≈800 iterations on the VFP path and ≈2000 on the NEON path;
 //   - the producer-consumer display application: a 6-second shared
 //     sample buffer (2 s being decoded + 2 s being drawn + 2 s of
 //     display latency) drained 4 pixels every 15 ms.
@@ -30,8 +30,16 @@ import (
 // ClockHz is the Cortex-A8 clock of the iPhone 3GS.
 const ClockHz = 600e6
 
-// RealTimeBudgetSeconds is the decode-time allowance per 2-second packet.
-const RealTimeBudgetSeconds = 1.0
+// RealTimeBudget is the decode-time allowance per packet: half the
+// packet period N / FsMote, the paper's 1 s of compute per 2-second
+// packet at N = 512.
+func RealTimeBudget(p core.Params) time.Duration {
+	n := p.N
+	if n == 0 {
+		n = core.WindowSize
+	}
+	return time.Duration(float64(n) / core.FsMote / 2 * float64(time.Second))
+}
 
 // Mode selects the floating-point execution model.
 type Mode int
@@ -128,14 +136,13 @@ func (c CostModel) IterationTime(p core.Params, mode Mode) time.Duration {
 }
 
 // IterationBudget returns the largest iteration count whose modeled
-// decode time fits budgetSeconds (the paper's real-time constraint with
-// budgetSeconds = 1).
-func (c CostModel) IterationBudget(p core.Params, mode Mode, budgetSeconds float64) int {
+// decode time fits RealTimeBudget(p).
+func (c CostModel) IterationBudget(p core.Params, mode Mode) int {
 	it := c.IterationTime(p, mode).Seconds()
 	if it <= 0 {
 		return 0
 	}
-	return int(budgetSeconds / it)
+	return int(RealTimeBudget(p).Seconds() / it)
 }
 
 // DecodeTime returns the modeled time of a decode that ran iters
@@ -185,7 +192,7 @@ func NewRealTimeDecoder(p core.Params, mode Mode) (*RealTimeDecoder, error) {
 		return nil, err
 	}
 	costs := DefaultCosts()
-	dec.SolverOptions.MaxIter = costs.IterationBudget(dec.Params(), mode, RealTimeBudgetSeconds)
+	dec.SolverOptions.MaxIter = costs.IterationBudget(dec.Params(), mode)
 	return &RealTimeDecoder{dec: dec, costs: costs, mode: mode, baseMaxIter: dec.SolverOptions.MaxIter}, nil
 }
 
@@ -253,7 +260,7 @@ type Result struct {
 	ModeledTime time.Duration
 	// CPUUsage is ModeledTime over the 2-second packet period.
 	CPUUsage float64
-	// Deadline reports whether the decode met the 1-second budget.
+	// Deadline reports whether the decode met RealTimeBudget.
 	Deadline bool
 	// SolveWallTime is the measured host-side solve duration on the
 	// instrumented clock (0 when the decoder is not instrumented).
@@ -305,7 +312,7 @@ func (r *RealTimeDecoder) Decode(pkt *core.Packet) (*Result, error) {
 		DecodeResult:  res,
 		ModeledTime:   modeled,
 		CPUUsage:      modeled.Seconds() / period,
-		Deadline:      modeled.Seconds() <= RealTimeBudgetSeconds,
+		Deadline:      modeled <= RealTimeBudget(r.dec.Params()),
 		SolveWallTime: wall,
 		Rung:          rung,
 	}

@@ -12,8 +12,8 @@ import (
 func TestIterationBudgetsMatchPaper(t *testing.T) {
 	p := core.Params{M: metrics.MForCR(50, core.WindowSize)}
 	c := DefaultCosts()
-	vfp := c.IterationBudget(p, VFP, RealTimeBudgetSeconds)
-	neon := c.IterationBudget(p, NEON, RealTimeBudgetSeconds)
+	vfp := c.IterationBudget(p, VFP)
+	neon := c.IterationBudget(p, NEON)
 	// Paper: ≈800 iterations without optimizations, ≈2000 with.
 	if vfp < 700 || vfp > 950 {
 		t.Errorf("VFP budget %d, want ≈800", vfp)

@@ -221,7 +221,7 @@ func BasisAblation(opt Options) (*BasisAblationResult, error) {
 			Name:           b.String(),
 			MeanPRDN:       prdn,
 			MACsPerApply:   coordinator.MACsPerIteration(p),
-			RealTimeBudget: costs.IterationBudget(p, coordinator.NEON, coordinator.RealTimeBudgetSeconds),
+			RealTimeBudget: costs.IterationBudget(p, coordinator.NEON),
 		})
 	}
 	return res, nil

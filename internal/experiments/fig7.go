@@ -81,7 +81,7 @@ func Fig7(opt Options) (*Fig7Result, error) {
 			CR:             cr,
 			MeanIterations: mean,
 			MeanTime:       meanTime,
-			Deadline:       meanTime.Seconds() <= coordinator.RealTimeBudgetSeconds,
+			Deadline:       meanTime <= coordinator.RealTimeBudget(p),
 		})
 	}
 	return res, nil

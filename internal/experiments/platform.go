@@ -133,8 +133,8 @@ func Speedup() (*SpeedupResult, error) {
 		VFPIterTime:  c.IterationTime(p, coordinator.VFP),
 		NEONIterTime: c.IterationTime(p, coordinator.NEON),
 		Speedup:      coordinator.Speedup(p),
-		VFPBudget:    c.IterationBudget(p, coordinator.VFP, coordinator.RealTimeBudgetSeconds),
-		NEONBudget:   c.IterationBudget(p, coordinator.NEON, coordinator.RealTimeBudgetSeconds),
+		VFPBudget:    c.IterationBudget(p, coordinator.VFP),
+		NEONBudget:   c.IterationBudget(p, coordinator.NEON),
 	}, nil
 }
 
