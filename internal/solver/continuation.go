@@ -28,12 +28,16 @@ func (w *Workspace[T]) FISTAContinuation(y []T, opt Options[T], stages int) (Res
 		return w.FISTA(y, opt)
 	}
 	// Resolve defaults once so every stage shares L and the λ target.
+	// The default λ already leaves Aᵀy in w.aty.
+	lambdaSet := opt.Lambda > 0
 	if err := resolve(w.a, y, &opt, w.aty); err != nil {
 		return Result[T]{}, err
 	}
 	// λ₀ = ‖Aᵀy‖∞ / 2: above that the solution is identically zero, so
 	// starting higher wastes stages.
-	w.a.ApplyT(w.aty, y)
+	if lambdaSet {
+		w.a.ApplyT(w.aty, y)
+	}
 	lam0 := linalg.NormInf(w.aty) / 2
 	target := opt.Lambda
 	if lam0 <= target {

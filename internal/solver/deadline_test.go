@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"reflect"
 	"testing"
 
 	"csecg/internal/linalg"
@@ -136,5 +137,38 @@ func TestSolveDispatch(t *testing.T) {
 	}
 	if AlgoFISTA.String() != "fista" || AlgoGPSR.String() != "gpsr" {
 		t.Fatal("algorithm names drifted: telemetry labels depend on them")
+	}
+}
+
+// TestContinuationAppliesAdjointOnceForDefaultLambda is the regression
+// test for a redundant operator apply: with Lambda 0 the default λ and
+// the continuation's λ₀ both come from Aᵀy, which must be computed once.
+// The same solve with that default λ passed in explicitly needs exactly
+// as many adjoint applies and returns the same bits.
+func TestContinuationAppliesAdjointOnceForDefaultLambda(t *testing.T) {
+	op, y, _ := sparseProblem(96, 192, 6, 16)
+	counted := op
+	var calls int
+	counted.ApplyT = func(dst, v []float64) {
+		calls++
+		op.ApplyT(dst, v)
+	}
+	solve := func(lambda float64) (Result[float64], int) {
+		calls = 0
+		res, err := FISTAContinuation(counted, y, Options[float64]{MaxIter: 120, Tol: -1, Lambda: lambda}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, calls
+	}
+	aty := make([]float64, op.InDim)
+	op.ApplyT(aty, y)
+	def, defCalls := solve(0)
+	set, setCalls := solve(linalg.NormInf(aty) / 1000)
+	if defCalls != setCalls {
+		t.Errorf("default λ: %d adjoint applies, explicit λ: %d", defCalls, setCalls)
+	}
+	if def.Iterations != set.Iterations || !reflect.DeepEqual(def.X, set.X) {
+		t.Errorf("default and explicit λ solves differ: %d vs %d iterations", def.Iterations, set.Iterations)
 	}
 }
