@@ -1,9 +1,10 @@
 package csecg
 
 import (
-	"strings"
 	"testing"
 	"time"
+
+	"csecg/internal/monitor"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -213,21 +214,35 @@ func TestRunStreamErrors(t *testing.T) {
 	if _, err := RunStream(StreamConfig{Seconds: 1}); err == nil {
 		t.Error("sub-window session accepted")
 	}
-	// RunStream never advances the link's drift clock, so a drifting
-	// link would silently stream with no skew and no slipped windows.
-	drift := DefaultLinkConfig()
-	drift.ClockDriftPPM = 30_000
-	for _, tc := range []struct {
-		field string
-		cfg   StreamConfig
-	}{
-		{"Link.ClockDriftPPM", StreamConfig{Seconds: 4, Link: drift}},
-		{"ControlLink.ClockDriftPPM", StreamConfig{Seconds: 4, Transport: TransportConfig{NACK: true}, ControlLink: &drift}},
-	} {
-		_, err := RunStream(tc.cfg)
-		if err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s set: err = %v, want an error naming the field", tc.field, err)
-		}
+}
+
+// slotCounter remembers the last per-slot snapshot of a session.
+type slotCounter struct{ last monitor.SlotStatus }
+
+func (c *slotCounter) OnWindow(monitor.WindowStatus) {}
+func (c *slotCounter) OnSlot(s monitor.SlotStatus)   { c.last = s }
+
+// TestRunStreamClockDriftSlipsWindows: a mote clock 3 % fast gains a
+// full 2 s window after 34 slots, so one slot carries two windows, the
+// 40-window record runs out a slot early, and the report carries the
+// accrued skew.
+func TestRunStreamClockDriftSlipsWindows(t *testing.T) {
+	cfg := StreamConfig{Seconds: 80, Params: Params{Seed: 1}, Link: DefaultLinkConfig()}
+	cfg.Link.ClockDriftPPM = 30_000
+	slots := &slotCounter{}
+	cfg.Observer = slots
+	rep, err := RunStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Windows != 40 || rep.Decoded != rep.Windows {
+		t.Fatalf("windows %d decoded %d, want all 40 decoded", rep.Windows, rep.Decoded)
+	}
+	if slots.last.Slot != rep.Windows-1 {
+		t.Errorf("session took %d slots for %d windows, want one slipped window", slots.last.Slot, rep.Windows)
+	}
+	if want := 39 * 60 * time.Millisecond; rep.LinkStats.DriftSkew != want {
+		t.Errorf("drift skew %v, want %v", rep.LinkStats.DriftSkew, want)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 
 	"csecg/internal/blackbox"
 	"csecg/internal/chaos"
+	"csecg/internal/coordinator"
 	"csecg/internal/link"
+	"csecg/internal/session"
 )
 
 // runRecorded executes one chaos scenario with the flight recorder
@@ -51,7 +53,7 @@ func TestQualitySLOTripSealsReplayableBundle(t *testing.T) {
 	rep := runRecorded(t, chaos.Scenario{
 		Name:    "slo-trip",
 		Windows: 48,
-		Burst:   &link.BurstConfig{PGoodBad: 0.25, PBadGood: 0.25},
+		Link:    link.Config{Burst: &link.BurstConfig{PGoodBad: 0.25, PBadGood: 0.25}},
 		// Tightened objective: the gap-rate margin the burst losses put
 		// on the PRDN estimate must register as SLO burn (see
 		// Scenario.QualityBadPRDN).
@@ -109,9 +111,9 @@ func TestPanicBundleReplaysScriptedFailures(t *testing.T) {
 		Windows: 36,
 		// Every 5th decode attempt panics: enough contained panics for a
 		// trigger plus scripted-failure coverage in replay.
-		PanicEvery: 5,
+		Faults: session.Faults{PanicEvery: 5},
 	}, dir)
-	if rep.ContainedPanics == 0 {
+	if rep.Transport.DecodePanics == 0 {
 		t.Fatal("scenario injected no panics")
 	}
 
@@ -189,7 +191,8 @@ func TestUnreproducibleBundleSkipped(t *testing.T) {
 	dir := t.TempDir()
 	rep := runRecorded(t, chaos.Scenario{
 		Name: "slowdown", Windows: 36,
-		Slowdown: 2, BurstArrival: 4, DecodesPerSlot: 4,
+		Transport: coordinator.TransportConfig{DecodesPerSlot: 4},
+		Faults:    session.Faults{Slowdown: 2, BurstArrival: 4},
 	}, dir)
 	if len(rep.Bundles) == 0 {
 		rep.Recorder.SealNow(blackbox.TriggerManual, "slowdown capture") //csecg:errok checked below

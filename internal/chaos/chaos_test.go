@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -23,10 +24,10 @@ func TestChaosMatrixDegradesGracefully(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rep.Survived(sc.withDefaults().QueueLimit); err != nil {
+			if err := rep.Survived(); err != nil {
 				t.Fatalf("%v\nreport: %+v", err, rep)
 			}
-			if rep.ContainedPanics != rep.EscapedPanics && rep.EscapedPanics != 0 {
+			if rep.Transport.DecodePanics != rep.EscapedPanics && rep.EscapedPanics != 0 {
 				t.Fatalf("panic accounting inconsistent: %+v", rep)
 			}
 		})
@@ -51,24 +52,24 @@ func TestChaosScenariosExerciseTheirFaults(t *testing.T) {
 	if r := reports["bitflip"]; r.CRCRejected == 0 {
 		t.Errorf("bitflip scenario rejected no frames: %+v", r)
 	}
-	if r := reports["burst-loss"]; r.Abandoned == 0 {
+	if r := reports["burst-loss"]; r.Transport.Abandoned == 0 {
 		t.Errorf("burst-loss scenario lost nothing: %+v", r)
 	}
-	if r := reports["reboot"]; r.Reboots != 1 {
-		t.Errorf("reboot scenario saw %d resyncs, want 1", r.Reboots)
+	if r := reports["reboot"]; r.Transport.Reboots != 1 {
+		t.Errorf("reboot scenario saw %d resyncs, want 1", r.Transport.Reboots)
 	}
 	if r := reports["slowdown-burst"]; r.MaxRung == coordinator.RungNominal {
 		t.Errorf("slowdown scenario never engaged the ladder: %+v", r)
 	} else if r.DegradedWindows == 0 {
 		t.Errorf("slowdown scenario flagged no degraded windows: %+v", r)
 	}
-	if r := reports["panic-inject"]; r.ContainedPanics == 0 {
+	if r := reports["panic-inject"]; r.Transport.DecodePanics == 0 {
 		t.Errorf("panic scenario contained no panics: %+v", r)
 	}
-	if r := reports["clock-drift"]; r.DriftSlips == 0 || r.DriftSkew == 0 {
+	if r := reports["clock-drift"]; r.Windows <= 96 || r.LinkStats.DriftSkew == 0 {
 		t.Errorf("drift scenario accrued no skew: %+v", r)
 	}
-	if r := reports["kitchen-sink"]; r.ContainedPanics == 0 || r.Reboots != 1 {
+	if r := reports["kitchen-sink"]; r.Transport.DecodePanics == 0 || r.Transport.Reboots != 1 {
 		t.Errorf("kitchen-sink scenario too gentle: %+v", r)
 	}
 }
@@ -174,10 +175,32 @@ func TestChaosMatrixReportPinned(t *testing.T) {
 		}
 		got = append(got, fmt.Sprintf("%s windows=%d decoded=%d degraded=%d crc=%d shed=%d qpeak=%d contained=%d escaped=%d reboots=%d p99=%d bound=%d maxrung=%v final=%v/%v",
 			rep.Scenario, rep.Windows, rep.Decoded, rep.DegradedWindows, rep.CRCRejected, rep.Shed,
-			rep.QueuePeak, rep.ContainedPanics, rep.EscapedPanics, rep.Reboots, rep.P99DecodeNs,
-			rep.BoundNs, rep.MaxRung, rep.FinalRung, rep.FinalHealth))
+			rep.Transport.QueuePeak, rep.Transport.DecodePanics, rep.EscapedPanics, rep.Transport.Reboots,
+			int64(rep.P99DecodeTime), int64(rep.Bound), rep.MaxRung, rep.FinalRung, rep.FinalHealth))
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("chaos reports moved:\ngot  %q\nwant %q", got, want)
+	}
+}
+
+// TestRebootScoresWindowsAgainstTheirOwnSignal: a mote reboot restarts
+// the sequence numbers mid-session, yet each decoded window must be
+// scored against the window the mote encoded, not against the previous
+// boot's window with the same number — so the reboot scenario's PRDN
+// matches the clean run over the same synthetic signal.
+func TestRebootScoresWindowsAgainstTheirOwnSignal(t *testing.T) {
+	prdn := map[string]float64{}
+	for _, sc := range Matrix(true) {
+		if sc.Name != "clean" && sc.Name != "reboot" {
+			continue
+		}
+		rep, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prdn[sc.Name] = rep.MeanPRDN
+	}
+	if d := math.Abs(prdn["reboot"] - prdn["clean"]); d > 0.1 {
+		t.Errorf("reboot mean PRDN %.3f %%, clean %.3f %%", prdn["reboot"], prdn["clean"])
 	}
 }

@@ -196,8 +196,8 @@ func NewRealTimeDecoder(p core.Params, mode Mode) (*RealTimeDecoder, error) {
 	return &RealTimeDecoder{dec: dec, costs: costs, mode: mode, baseMaxIter: dec.SolverOptions.MaxIter}, nil
 }
 
-// SetCosts overrides the cycle-cost calibration — the chaos harness
-// models a slowed CPU (thermal throttling, contention) this way. The
+// SetCosts overrides the cycle-cost calibration — the session loop's
+// Slowdown fault models a slowed CPU (thermal throttling, contention) this way. The
 // iteration budget is left at the nominal calibration, so a slowdown
 // makes decodes miss their modeled deadline and engages the
 // degradation ladder.

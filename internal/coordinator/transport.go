@@ -167,11 +167,10 @@ type Decoded struct {
 	Bad     bool
 }
 
-// SpanCloser is the one close step of a decoded window's causal span
-// tree (DESIGN.md §14), shared by every streaming loop over a
-// Receiver (RunStream and the chaos harness). The caller records its
-// own wait leaves up to the decode start, because each loop keeps its
-// own clock; Close records the rest.
+// SpanCloser is the close step of a decoded window's causal span tree
+// (DESIGN.md §14), used by the session loop (internal/session). The
+// loop records the wait leaves up to the decode start on its clock;
+// Close records the rest.
 type SpanCloser struct {
 	spans         *telemetry.CausalTracer
 	rx            *Receiver

@@ -11,8 +11,6 @@ import (
 // ChaosRow is one scenario's survival outcome.
 type ChaosRow struct {
 	Report *chaos.Report
-	// QueueLimit is the bound the admission queue was held to.
-	QueueLimit int
 	// Violation is empty when the scenario was survived, else the
 	// first contract breach.
 	Violation string
@@ -65,12 +63,8 @@ func ChaosTraced(short bool, recordDir string, traces *Traces) (*ChaosResult, er
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos scenario %s: %w", sc.Name, err)
 		}
-		limit := sc.QueueLimit
-		if limit == 0 {
-			limit = 8 // the runner's default bound
-		}
-		row := ChaosRow{Report: rep, QueueLimit: limit}
-		if err := rep.Survived(limit); err != nil {
+		row := ChaosRow{Report: rep}
+		if err := rep.Survived(); err != nil {
 			row.Violation = err.Error()
 			if rep.Recorder != nil {
 				//csecg:errok the seal error is retained in the recorder
@@ -113,10 +107,10 @@ func (r *ChaosResult) Table() *Table {
 			fmt.Sprintf("%d", rep.DegradedWindows),
 			fmt.Sprintf("%d", rep.CRCRejected),
 			fmt.Sprintf("%d", rep.Shed),
-			fmt.Sprintf("%d/%d", rep.QueuePeak, row.QueueLimit),
-			fmt.Sprintf("%d", rep.ContainedPanics),
-			fmt.Sprintf("%d", rep.Reboots),
-			f1(float64(rep.P99DecodeNs) / float64(time.Millisecond)),
+			fmt.Sprintf("%d/%d", rep.Transport.QueuePeak, rep.QueueLimit),
+			fmt.Sprintf("%d", rep.Transport.DecodePanics),
+			fmt.Sprintf("%d", rep.Transport.Reboots),
+			f1(float64(rep.P99DecodeTime) / float64(time.Millisecond)),
 			rep.MaxRung.String(),
 			rep.FinalHealth.String(),
 			verdict,

@@ -46,7 +46,7 @@ func chromeTrack(stage string) (track int, wait bool) {
 		return chromeLink, true
 	case StageTX, StageRetransmit:
 		return chromeLink, false
-	case StageReassemble, StageQueueWait:
+	case StageReassemble:
 		return chromeCoordinator, true
 	}
 	return chromeCoordinator, false

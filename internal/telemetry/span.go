@@ -54,12 +54,10 @@ const (
 	// StageLinkTransit is time in flight or held by the channel's
 	// reorder model between transmit end and coordinator arrival.
 	StageLinkTransit = "link-transit"
-	// StageReassemble is the reorder-buffer hold between arrival and
-	// in-order release to the decoder.
+	// StageReassemble is the coordinator-side wait between arrival and
+	// decode start: reorder-buffer hold, admission-queue deferral and
+	// the serialized decode core finishing earlier windows.
 	StageReassemble = "reassemble"
-	// StageQueueWait is admission-queue deferral at the coordinator
-	// (a window admitted but decoded in a later slot).
-	StageQueueWait = "queue-wait"
 	// StageReconstruct is the inverse transform and requantization that
 	// hands samples to the display.
 	StageReconstruct = "reconstruct"
@@ -106,7 +104,7 @@ func SpanStages() []string {
 	return []string{
 		StageEncodeWait, StageCSSample, StageDiff, StageHuffman, StageTX,
 		StageRetransmitWait, StageRetransmit, StageLinkTransit,
-		StageReassemble, StageQueueWait,
+		StageReassemble,
 		SolverStageFISTA1, SolverStageFISTA2, SolverStageGPSR2, SolverStageGPSR4,
 		StageReconstruct,
 	}

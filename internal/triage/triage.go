@@ -117,7 +117,7 @@ var solverStages = map[string]bool{
 }
 
 // describeStage spells a stage for the verdict ("solver stage fista/2"
-// vs "queue-wait").
+// vs "reassemble").
 func describeStage(stage string) string {
 	if solverStages[stage] {
 		return "solver stage " + stage

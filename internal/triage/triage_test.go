@@ -8,6 +8,7 @@ import (
 	"csecg/internal/chaos"
 	"csecg/internal/coordinator"
 	"csecg/internal/core"
+	"csecg/internal/session"
 	"csecg/internal/telemetry"
 )
 
@@ -137,9 +138,9 @@ func TestSolverStageNamesPinned(t *testing.T) {
 
 // TestSlowdownAttributionNamesSolver is the chaos-matrix truthfulness
 // assertion: under an injected 2× solver slowdown with paced arrival,
-// the report must attribute the tail to a solver stage — not to
-// queue-wait, which a lazier span model would blame because slow solves
-// and queue pressure are correlated.
+// the report must attribute the tail to a solver stage — not to the
+// reassemble wait for the serialized decode core, which a lazier span
+// model would blame because slow solves and queueing are correlated.
 func TestSlowdownAttributionNamesSolver(t *testing.T) {
 	spans := telemetry.NewCausalTracer(telemetry.CausalConfig{
 		Label:           "chaos slowdown-paced",
@@ -147,9 +148,9 @@ func TestSlowdownAttributionNamesSolver(t *testing.T) {
 		RetainAll:       true,
 	})
 	rep, err := chaos.Run(chaos.Scenario{
-		Name:     "slowdown-paced",
-		Slowdown: 2,
-		Spans:    spans,
+		Name:   "slowdown-paced",
+		Faults: session.Faults{Slowdown: 2},
+		Spans:  spans,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,9 +165,9 @@ func TestSlowdownAttributionNamesSolver(t *testing.T) {
 	}
 	if !solverStages[report.DominantStage] {
 		t.Errorf("p99 dominated by %q, want a solver stage (slowdown must not masquerade as %s)",
-			report.DominantStage, telemetry.StageQueueWait)
+			report.DominantStage, telemetry.StageReassemble)
 	}
-	if report.DominantStage == telemetry.StageQueueWait {
+	if report.DominantStage == telemetry.StageReassemble {
 		t.Error("slowdown misattributed to queueing")
 	}
 	if !strings.Contains(report.Verdict, "solver stage") {
