@@ -174,22 +174,18 @@ func synthWindow(w, n int, rg *rng.Xoshiro) []int16 {
 	return win
 }
 
-// sloFeed scores each decoded window against the recorded quality SLO,
-// one window period apart on the SLO's clock.
+// sloFeed scores each decoded window against the recorded quality SLO.
 type sloFeed struct {
-	slo      *monitor.SLO
-	badPRDN  float64
-	windowNs int64
-	decoded  int64
+	slo     *monitor.SLO
+	badPRDN float64
 }
 
 func (f *sloFeed) OnWindow(w monitor.WindowStatus) {
-	f.decoded++
 	bad := w.Bad
 	if f.badPRDN > 0 {
 		bad = w.EstPRDN > f.badPRDN
 	}
-	f.slo.Observe(f.decoded*f.windowNs, bad)
+	f.slo.Observe(w.TimelineNs, bad)
 }
 
 func (f *sloFeed) OnSlot(monitor.SlotStatus) {}
@@ -228,7 +224,7 @@ func Run(sc Scenario) (*Report, error) {
 		slo := monitor.NewSLO(monitor.SLOConfig{Name: "quality"}, rcfg.Session, nil, nil)
 		monitor.WireRecorder(slo, rep.Recorder)
 		cfg.Recorder = rep.Recorder
-		cfg.Observer = &sloFeed{slo: slo, badPRDN: sc.QualityBadPRDN, windowNs: int64(window)}
+		cfg.Observer = &sloFeed{slo: slo, badPRDN: sc.QualityBadPRDN}
 	}
 
 	srep, err := func() (*session.Report, error) {

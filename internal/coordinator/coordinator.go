@@ -197,9 +197,9 @@ func NewRealTimeDecoder(p core.Params, mode Mode) (*RealTimeDecoder, error) {
 }
 
 // SetCosts overrides the cycle-cost calibration — the session loop's
-// Slowdown fault models a slowed CPU (thermal throttling, contention) this way. The
-// iteration budget is left at the nominal calibration, so a slowdown
-// makes decodes miss their modeled deadline and engages the
+// Slowdown fault models a slowed CPU (thermal throttling, contention)
+// this way. The iteration budget is left at the nominal calibration, so
+// a slowdown makes decodes miss their modeled deadline and engages the
 // degradation ladder.
 func (r *RealTimeDecoder) SetCosts(c CostModel) { r.costs = c }
 
