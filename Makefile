@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build cross-build perfbench-build test bench-once race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench perf perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build cross-build perfbench-build test bench-once race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench experiments-output perf-gate
 
 check: vet lint vet-baseline-empty stack-budget build cross-build perfbench-build test bench-once race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
 
@@ -134,11 +134,18 @@ trace-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# perf writes the machine-readable perf-suite summary; perf-gate runs
-# the CI regression comparison against the committed baseline (fails on
-# >15% normalized growth — see internal/bench).
-perf:
-	$(GO) run ./cmd/csecg-bench -json BENCH_13.json
+# experiments-output regenerates every experiment table and fails if
+# any differs from the committed experiments_output.txt. csecg-bench
+# prints only the deterministic tables on stdout; run times and measured
+# host times go to stderr. About 3 minutes on 2 vCPUs.
+experiments-output:
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/csecg-bench -exp all > .bench_build/experiments_output.txt
+	cmp experiments_output.txt .bench_build/experiments_output.txt
 
+# perf-gate runs the paired stream-benchmark gate of the working tree
+# against BASE (make perf-gate BASE=origin/main) and writes its JSON
+# summary to .bench_build/perf-gate/summary.json; see
+# scripts/perf-gate.sh. About 5 minutes on 2 vCPUs.
 perf-gate:
-	$(GO) run ./cmd/csecg-bench -compare BENCH_13.json
+	bash scripts/perf-gate.sh $(BASE)

@@ -16,11 +16,6 @@
 //	csecg-bench -exp cpu -metrics metrics.prom    # Prometheus text dump
 //	csecg-bench -exp all -pprof cpu.pprof         # CPU+mutex+block profiles
 //
-// Performance tracking:
-//
-//	csecg-bench -json BENCH.json                  # machine-readable perf suite
-//	csecg-bench -compare BENCH_13.json            # fail on >15% normalized regression
-//
 // Robustness:
 //
 //	csecg-bench -exp chaos                        # full survival matrix
@@ -41,7 +36,6 @@ import (
 	"time"
 
 	"csecg"
-	"csecg/internal/bench"
 	"csecg/internal/experiments"
 	"csecg/internal/prof"
 )
@@ -78,9 +72,6 @@ func run() int {
 		metricsFile = flag.String("metrics", "", "write a Prometheus text metrics dump to this file ('-' for stdout)")
 		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of every window's causal span tree to this file")
 		pprofFile   = flag.String("pprof", "", "write Go CPU/mutex/block profiles of the run to this file (+.mutex/.block)")
-		jsonFile    = flag.String("json", "", "run the perf suite and write the machine-readable summary to this file ('-' for stdout)")
-		compareFile = flag.String("compare", "", "run the perf suite and fail on normalized regressions against this baseline summary")
-		tolerance   = flag.Float64("tolerance", bench.DefaultTolerance, "allowed normalized-time growth before -compare fails")
 		short       = flag.Bool("short", false, "shrink long-running experiments (chaos) to CI-smoke size")
 		recordDir   = flag.String("record-dir", "", "attach a black-box flight recorder to chaos scenarios and seal diagnostics bundles into this directory")
 		spansFile   = flag.String("spans", "", "write every window's causal span tree as trace JSONL to this file ('-' for stdout; csecg-triage input)")
@@ -115,10 +106,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "csecg-bench: pprof: %v\n", err)
 			}
 		}()
-	}
-
-	if *jsonFile != "" || *compareFile != "" {
-		return runPerf(*jsonFile, *compareFile, *tolerance)
 	}
 
 	type runner struct {
@@ -250,6 +237,10 @@ func run() int {
 			if err != nil {
 				return nil, err
 			}
+			for _, row := range r.Rows {
+				fmt.Fprintf(os.Stderr, "(ablation-solver: %s measured %.1f ms host time/window)\n",
+					row.Name, float64(row.MeanTime.Microseconds())/1000)
+			}
 			return r.Table(), nil
 		}},
 		{"ablation-redundancy", func() (*experiments.Table, error) {
@@ -327,8 +318,8 @@ func run() int {
 			fmt.Print(table.CSV())
 			fmt.Println()
 		} else {
-			fmt.Println(table.Render())
-			fmt.Printf("(%s took %.1fs)\n\n", r.name, time.Since(start).Seconds())
+			fmt.Printf("%s\n\n", table.Render())
+			fmt.Fprintf(os.Stderr, "(%s took %.1fs)\n", r.name, time.Since(start).Seconds())
 		}
 	}
 

@@ -170,7 +170,7 @@ type Recorder struct {
 	fHead  int
 	fLen   int
 	// Window and event rings.
-	windows []WindowRecord
+	windows []coordinator.WindowCapture
 	wHead   int
 	wLen    int
 	events  []event
@@ -207,7 +207,7 @@ func NewRecorder(cfg Config) *Recorder {
 		cfg:     cfg,
 		arena:   make([]byte, cfg.FrameArenaBytes),
 		frames:  make([]frameEntry, cfg.FrameCap),
-		windows: make([]WindowRecord, cfg.WindowCap),
+		windows: make([]coordinator.WindowCapture, cfg.WindowCap),
 		events:  make([]event, cfg.EventCap),
 	}
 	r.meta.Session = cfg.Session
@@ -305,22 +305,7 @@ func (r *Recorder) RecordWindow(w coordinator.WindowCapture) {
 		r.wLen--
 		r.evictedWindows++
 	}
-	r.windows[(r.wHead+r.wLen)%len(r.windows)] = WindowRecord{
-		Slot:            w.Slot,
-		Ordinal:         w.Ordinal,
-		Seq:             w.Seq,
-		Rung:            int(w.Rung),
-		Iterations:      w.Iterations,
-		EscapeCount:     w.EscapeCount,
-		Converged:       w.Converged,
-		DeadlineExpired: w.DeadlineExpired,
-		Degraded:        w.Degraded,
-		ResidualNorm:    w.ResidualNorm,
-		EstPRDN:         w.EstPRDN,
-		Bad:             w.Bad,
-		ModeledNs:       w.ModeledNs,
-		Trace:           w.Trace,
-	}
+	r.windows[(r.wHead+r.wLen)%len(r.windows)] = w
 	r.wLen++
 	r.capturedWindows++
 	if w.Slot > r.lastSlot {
@@ -513,7 +498,7 @@ func (r *Recorder) snapshotLocked(cause TriggerCause, timelineNs int64, detail s
 		copy(data[first:], r.arena[:e.n-first])
 		b.Frames[i] = FrameRecord{Slot: e.slot, Seq: e.seq, Kind: e.kind, Data: data}
 	}
-	b.Windows = make([]WindowRecord, r.wLen)
+	b.Windows = make([]coordinator.WindowCapture, r.wLen)
 	for i := 0; i < r.wLen; i++ {
 		b.Windows[i] = r.windows[(r.wHead+i)%len(r.windows)]
 	}
@@ -604,10 +589,10 @@ func (r *Recorder) SealErr() error {
 
 // WindowRecords copies the current window ring, oldest first — the
 // replay harness records a fresh session with one of these and diffs.
-func (r *Recorder) WindowRecords() []WindowRecord {
+func (r *Recorder) WindowRecords() []coordinator.WindowCapture {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]WindowRecord, r.wLen)
+	out := make([]coordinator.WindowCapture, r.wLen)
 	for i := 0; i < r.wLen; i++ {
 		out[i] = r.windows[(r.wHead+i)%len(r.windows)]
 	}

@@ -184,29 +184,6 @@ type Header struct {
 // start — the precondition for bit-exact replay.
 func (h Header) Complete() bool { return !h.Wrapped && !h.Truncated }
 
-// WindowRecord is one released window's decode summary — the fields
-// replay must reproduce bit-for-bit, keyed by (Ordinal, Seq).
-type WindowRecord struct {
-	Slot            int     `json:"slot"`
-	Ordinal         int64   `json:"ordinal"`
-	Seq             uint32  `json:"seq"`
-	Rung            int     `json:"rung"`
-	Iterations      int     `json:"iterations"`
-	EscapeCount     int     `json:"escape_count"`
-	Converged       bool    `json:"converged"`
-	DeadlineExpired bool    `json:"deadline_expired,omitempty"`
-	Degraded        bool    `json:"degraded,omitempty"`
-	ResidualNorm    float64 `json:"residual_norm"`
-	EstPRDN         float64 `json:"est_prdn"`
-	Bad             bool    `json:"bad,omitempty"`
-	ModeledNs       int64   `json:"modeled_ns"`
-	// Trace is the window's causal trace ID (0 when the session streamed
-	// untraced); telemetry.TraceIDString renders the 16-hex-digit form
-	// /sessions and the stage-seconds exemplars use. Kept numeric so the
-	// hotpath capture ring stores it without formatting.
-	Trace uint64 `json:"trace,omitempty"`
-}
-
 // EventRecord is one health/SLO/failure/trigger event.
 type EventRecord struct {
 	Kind       string `json:"kind"`
@@ -236,7 +213,7 @@ type Bundle struct {
 	Header  Header
 	Metrics telemetry.Snapshot
 	Events  []EventRecord
-	Windows []WindowRecord
+	Windows []coordinator.WindowCapture
 	Frames  []FrameRecord
 }
 
@@ -258,7 +235,7 @@ type eventLine struct {
 
 type windowLine struct {
 	Type string `json:"type"`
-	WindowRecord
+	coordinator.WindowCapture
 }
 
 type frameLine struct {
@@ -315,7 +292,7 @@ func encodeBundle(b *Bundle, maxBytes int) ([]byte, error) {
 		body.Write(l) //csecg:errok bytes.Buffer never fails
 	}
 	for _, w := range b.Windows {
-		l, err := line(windowLine{Type: "window", WindowRecord: w})
+		l, err := line(windowLine{Type: "window", WindowCapture: w})
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +393,7 @@ func ParseBundle(data []byte) (*Bundle, error) {
 			if err := json.Unmarshal(raw, &wl); err != nil {
 				return nil, fmt.Errorf("blackbox: bundle line %d: %w", lineNo+1, err)
 			}
-			b.Windows = append(b.Windows, wl.WindowRecord)
+			b.Windows = append(b.Windows, wl.WindowCapture)
 		case "frame":
 			var fl frameLine
 			if err := json.Unmarshal(raw, &fl); err != nil {

@@ -217,8 +217,8 @@ func recordedFailures(events []EventRecord) map[int64]bool {
 
 // diffComplete demands bit-for-bit equality on every recorded window,
 // aligned by decode-attempt ordinal.
-func diffComplete(rep *ReplayReport, want, got []WindowRecord) {
-	byOrd := make(map[int64]WindowRecord, len(got))
+func diffComplete(rep *ReplayReport, want, got []coordinator.WindowCapture) {
+	byOrd := make(map[int64]coordinator.WindowCapture, len(got))
 	for _, g := range got {
 		byOrd[g.Ordinal] = g
 	}
@@ -240,7 +240,7 @@ func diffComplete(rep *ReplayReport, want, got []WindowRecord) {
 // diffWrapped aligns by sequence number and compares only the fields a
 // mid-stream resume can reproduce, and only where the ladder rung
 // matches.
-func diffWrapped(rep *ReplayReport, want, got []WindowRecord) {
+func diffWrapped(rep *ReplayReport, want, got []coordinator.WindowCapture) {
 	used := make([]bool, len(got))
 	for _, w := range want {
 		idx := -1
@@ -267,7 +267,7 @@ func diffWrapped(rep *ReplayReport, want, got []WindowRecord) {
 
 // diffWindow appends a divergence per unequal field. Full mode covers
 // every recorded field; otherwise only the solver-deterministic subset.
-func diffWindow(rep *ReplayReport, w, g WindowRecord, full bool) {
+func diffWindow(rep *ReplayReport, w, g coordinator.WindowCapture, full bool) {
 	miss := func(field, want, got string) {
 		rep.Divergences = append(rep.Divergences, Divergence{
 			Ordinal: w.Ordinal, Seq: w.Seq, Field: field, Want: want, Got: got,
@@ -310,7 +310,7 @@ func diffWindow(rep *ReplayReport, w, g WindowRecord, full bool) {
 	eqI("iterations", w.Iterations, g.Iterations)
 	eqF("residual_norm", w.ResidualNorm, g.ResidualNorm)
 	eqI("slot", w.Slot, g.Slot)
-	eqI("rung", w.Rung, g.Rung)
+	eqI("rung", int(w.Rung), int(g.Rung))
 	eqB("deadline_expired", w.DeadlineExpired, g.DeadlineExpired)
 	eqB("degraded", w.Degraded, g.Degraded)
 	eqF("est_prdn", w.EstPRDN, g.EstPRDN)

@@ -62,11 +62,16 @@ type Scenario struct {
 	Record *blackbox.Config
 
 	// QualityBadPRDN overrides the paper's 9 % good/bad boundary for the
-	// recorded quality SLO (0 = keep the decoder's Bad verdict). The
-	// synthetic chaos signal reconstructs far inside the boundary even
-	// under heavy loss, so scenarios proving the SLO→bundle trigger
-	// wiring tighten the objective until fault-induced quality erosion —
-	// the gap-rate margin on the PRDN estimate — registers as burn.
+	// recorded quality SLO (0 = keep the decoder's Bad verdict) and is
+	// compared with the ground-truth-free PRDN estimate. On the
+	// synthetic N = 128 chaos signal that estimate under-reads about 5×
+	// (a clean short matrix estimates 3.84 % mean PRDN where the true
+	// figure is 19.57 %), so the decoder's Bad verdict almost never
+	// fires even though the signal reconstructs well outside the
+	// boundary. Scenarios proving the SLO→bundle trigger wiring
+	// therefore set an objective below the estimate's range, so that
+	// fault-induced erosion — the gap-rate margin on the estimate —
+	// registers as burn.
 	QualityBadPRDN float64
 
 	// Spans, when non-nil, captures each window's causal span tree on

@@ -12,12 +12,13 @@ import (
 	"csecg/internal/metrics"
 )
 
-// decodeDigest and decodeDigestIterations pin what the decoders
-// compute. A change that moves either one changes decodes: it must
-// update both constants and say why.
+// decodeDigest, decodeDigestIterations and decodeDigestEscapes pin what
+// the decoders compute. A change that moves any one changes decodes: it
+// must update the constants and say why.
 const (
 	decodeDigest           = 0x3a93448a82152511
 	decodeDigestIterations = 382615
+	decodeDigestEscapes    = 99
 )
 
 // TestDecodeDigest decodes 20 windows of six records at CR 50 and 80
@@ -26,17 +27,22 @@ const (
 // iterations, residual norm and, for VFP and NEON, ModeledTime. The
 // order is CR, record, window, then decoder. The synthetic records
 // cover normal sinus rhythm (100, 101) and frequent PVCs (119, 200,
-// 208, 233).
+// 208, 233). Escapes counts each window's Huffman escape symbols once.
+// On a mismatch it logs each CR's iterations per window and decoder.
 func TestDecodeDigest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("too slow under the race detector; the decoded bits do not depend on it")
 	}
 	const windows = 20
+	records := []string{"100", "101", "119", "200", "208", "233"}
 	h := fnv.New64a()
-	iterations := 0
-	for _, cr := range []float64{50, 80} {
+	iterations, escapes := 0, 0
+	crs := []float64{50, 80}
+	// perCR[c][0:3] sum the VFP, NEON and float64 iterations at crs[c].
+	perCR := make([][3]int, len(crs))
+	for c, cr := range crs {
 		p := core.Params{Seed: 1, M: metrics.MForCR(cr, core.WindowSize)}
-		for _, id := range []string{"100", "101", "119", "200", "208", "233"} {
+		for _, id := range records {
 			pkts := encodeRecord(t, p, id, windows)
 			vfp, err := NewRealTimeDecoder(p, VFP)
 			if err != nil {
@@ -51,7 +57,7 @@ func TestDecodeDigest(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pkt := range pkts {
-				for _, d := range []*RealTimeDecoder{vfp, neon} {
+				for i, d := range []*RealTimeDecoder{vfp, neon} {
 					r, err := d.Decode(pkt)
 					if err != nil {
 						t.Fatalf("CR %v record %s window %d: %v", cr, id, pkt.Seq, err)
@@ -63,6 +69,7 @@ func TestDecodeDigest(t *testing.T) {
 					putWord(h, math.Float64bits(r.ResidualNorm))
 					putWord(h, uint64(r.ModeledTime))
 					iterations += r.Iterations
+					perCR[c][i] += r.Iterations
 				}
 				r, err := f64.DecodePacket(pkt)
 				if err != nil {
@@ -74,11 +81,19 @@ func TestDecodeDigest(t *testing.T) {
 				putWord(h, uint64(r.Iterations))
 				putWord(h, math.Float64bits(r.ResidualNorm))
 				iterations += r.Iterations
+				perCR[c][2] += r.Iterations
+				escapes += r.EscapeCount
 			}
 		}
 	}
-	if got := h.Sum64(); got != decodeDigest || iterations != decodeDigestIterations {
-		t.Errorf("decode digest %016x over %d iterations, want %016x over %d", got, iterations, uint64(decodeDigest), decodeDigestIterations)
+	if got := h.Sum64(); got != decodeDigest || iterations != decodeDigestIterations || escapes != decodeDigestEscapes {
+		t.Errorf("decode digest %016x over %d iterations and %d escapes, want %016x over %d and %d",
+			got, iterations, escapes, uint64(decodeDigest), decodeDigestIterations, decodeDigestEscapes)
+		for c, cr := range crs {
+			n := float64(len(records) * windows)
+			t.Logf("CR %v iterations per window: VFP %.1f, NEON %.1f, float64 %.1f",
+				cr, float64(perCR[c][0])/n, float64(perCR[c][1])/n, float64(perCR[c][2])/n)
+		}
 	}
 }
 

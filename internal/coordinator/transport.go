@@ -280,35 +280,39 @@ type Decoder interface {
 }
 
 // WindowCapture is one released window's decode summary as the flight
-// recorder sees it — every field the replay harness must reproduce
-// bit-for-bit, plus the capture coordinates (slot and decode ordinal)
-// that align a bundle's records with its raw frame stream.
+// recorder sees it and a diagnostics bundle stores it — every field the
+// replay harness must reproduce bit-for-bit, keyed by (Ordinal, Seq),
+// plus the capture coordinates (slot and decode ordinal) that align a
+// bundle's records with its raw frame stream.
 type WindowCapture struct {
 	// Slot is the receiver's window-period counter at release; Ordinal
 	// the session-monotonic decode-attempt index (failures included).
-	Slot    int
-	Ordinal int64
+	Slot    int   `json:"slot"`
+	Ordinal int64 `json:"ordinal"`
 	// Seq is the window sequence number (per mote boot epoch).
-	Seq uint32
+	Seq uint32 `json:"seq"`
 	// Rung/Iterations/Converged/DeadlineExpired/Degraded summarize the
 	// solve; EscapeCount the entropy decoder's escape symbols.
-	Rung            Rung
-	Iterations      int
-	EscapeCount     int
-	Converged       bool
-	DeadlineExpired bool
-	Degraded        bool
+	Rung            Rung `json:"rung"`
+	Iterations      int  `json:"iterations"`
+	EscapeCount     int  `json:"escape_count"`
+	Converged       bool `json:"converged"`
+	DeadlineExpired bool `json:"deadline_expired,omitempty"`
+	Degraded        bool `json:"degraded,omitempty"`
 	// ResidualNorm, EstPRDN and Bad are the ground-truth-free quality
 	// verdict; ModeledNs the cycle-model decode time.
-	ResidualNorm float64
-	EstPRDN      float64
-	Bad          bool
-	ModeledNs    int64
+	ResidualNorm float64 `json:"residual_norm"`
+	EstPRDN      float64 `json:"est_prdn"`
+	Bad          bool    `json:"bad,omitempty"`
+	ModeledNs    int64   `json:"modeled_ns"`
 	// Trace is the window's causal trace ID (0 when the session streams
 	// untraced), derived deterministically from the session's trace seed
 	// and Seq — the link between a sealed bundle's window records, the
 	// stage-seconds exemplars and a retained span tree.
-	Trace uint64
+	// telemetry.TraceIDString renders the 16-hex-digit form /sessions
+	// and the exemplars use; it stays numeric so the capture ring stores
+	// it without formatting.
+	Trace uint64 `json:"trace,omitempty"`
 }
 
 // FlightRecorder taps the receive path for the black-box flight

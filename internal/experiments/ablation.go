@@ -64,6 +64,7 @@ func (r *WaveletAblationResult) Table() *Table {
 }
 
 // SolverRow compares recovery algorithms on the same measurement set.
+// MeanTime is measured host wall time, so Table leaves it out.
 type SolverRow struct {
 	Name     string
 	MeanPRDN float64
@@ -178,13 +179,11 @@ func SolverAblation(opt Options) (*SolverAblationResult, error) {
 func (r *SolverAblationResult) Table() *Table {
 	t := &Table{
 		Title:  "Ablation — recovery algorithm at CR=50 (equal iteration budget for the convex solvers)",
-		Note:   "host wall time per window; the paper selects FISTA for its O(1/k²) rate",
-		Header: []string{"algorithm", "mean PRDN (%)", "host time/window (ms)"},
+		Note:   "the paper selects FISTA for its O(1/k²) rate",
+		Header: []string{"algorithm", "mean PRDN (%)"},
 	}
 	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{
-			row.Name, f2(row.MeanPRDN), f1(float64(row.MeanTime.Microseconds()) / 1000),
-		})
+		t.Rows = append(t.Rows, []string{row.Name, f2(row.MeanPRDN)})
 	}
 	return t
 }

@@ -29,7 +29,7 @@ func Convergence(opt Options) (*ConvergenceResult, error) {
 		var vals []float64
 		_, err := algo(pr.a, pr.y, solver.Options[float64]{
 			MaxIter: iters, Tol: -1, Lambda: pr.lambda, Lipschitz: pr.lip,
-			Monitor: func(_ int, obj float64) { vals = append(vals, obj) },
+			Trace: func(_ int, s solver.IterSample) { vals = append(vals, s.Objective) },
 		})
 		return vals, err
 	}

@@ -55,14 +55,10 @@ type Options[T linalg.Float] struct {
 	// averaged 295.0 at PRDN 8.897 %. In a Workspace solve, X0 may be
 	// the X of the workspace's previous solve.
 	X0 []T
-	// Monitor, when non-nil, is invoked each iteration with the current
-	// objective value F(α_k). Computing F costs one extra A·α per
-	// iteration, so leave nil in production.
-	Monitor func(iter int, objective T)
-	// Trace, when non-nil, receives the full per-iteration telemetry
-	// sample: objective, residual norm and step norm. Like Monitor it
-	// costs one extra operator apply per iteration (for the objective),
-	// so enable it only in instrumented runs.
+	// Trace, when non-nil, receives the per-iteration telemetry sample:
+	// objective, residual norm and step norm (GPSR and TwIST report the
+	// objective only). Computing the objective costs one extra operator
+	// apply per iteration, so enable it only in instrumented runs.
 	Trace func(iter int, s IterSample)
 	// DeadlineNs, when nonzero, is an absolute soft deadline in the
 	// nanoseconds of the Now clock: once Now() reaches it the solver
@@ -74,11 +70,9 @@ type Options[T linalg.Float] struct {
 	// Now supplies the clock for deadline checks. It must be injected
 	// (telemetry.Clock.Now fits): library code stays deterministic, so
 	// there is no time.Now fallback — a nonzero DeadlineNs with a nil
-	// Now disables the deadline.
+	// Now disables the deadline. The clock is read every
+	// DefaultDeadlineEvery iterations.
 	Now func() int64
-	// DeadlineEvery is the iteration stride between deadline checks.
-	// Defaults to DefaultDeadlineEvery if zero.
-	DeadlineEvery int
 }
 
 // IterSample is one iteration's solver telemetry, as recorded by the
@@ -207,9 +201,6 @@ func (w *Workspace[T]) fista(y []T, opt Options[T]) (Result[T], error) {
 			copy(yk, alpha)
 		}
 		res.Iterations = k
-		if opt.Monitor != nil {
-			opt.Monitor(k, st.objective(alpha, opt.Lambda))
-		}
 		if opt.Trace != nil {
 			opt.Trace(k, IterSample{
 				Objective: float64(st.objective(alpha, opt.Lambda)),
@@ -268,9 +259,6 @@ func ISTA[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], err
 		linalg.Axpy(-1/opt.Lipschitz, grad, alpha)
 		linalg.SoftThreshold(alpha, alpha, opt.Lambda/opt.Lipschitz)
 		res.Iterations = k
-		if opt.Monitor != nil {
-			opt.Monitor(k, st.objective(alpha, opt.Lambda))
-		}
 		if opt.Trace != nil {
 			opt.Trace(k, IterSample{
 				Objective: float64(st.objective(alpha, opt.Lambda)),

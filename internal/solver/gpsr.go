@@ -169,9 +169,9 @@ func GPSR[T linalg.Float](a linalg.Op[T], y []T, opt Options[T]) (Result[T], err
 		}
 		refresh()
 		res.Iterations = k
-		if opt.Monitor != nil {
+		if opt.Trace != nil {
 			res.Objective = objective()
-			opt.Monitor(k, res.Objective)
+			opt.Trace(k, IterSample{Objective: float64(res.Objective)})
 		}
 		// Convergence: relative step size.
 		var stepNorm T

@@ -23,13 +23,13 @@ func TestGPSRMonotone(t *testing.T) {
 	var vals []float64
 	_, err := GPSR(op, y, Options[float64]{
 		MaxIter: 200, Tol: -1, Lambda: 1e-3,
-		Monitor: func(_ int, obj float64) { vals = append(vals, obj) },
+		Trace: func(_ int, s IterSample) { vals = append(vals, s.Objective) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vals) < 10 {
-		t.Fatalf("only %d monitored iterations", len(vals))
+		t.Fatalf("only %d traced iterations", len(vals))
 	}
 	for i := 1; i < len(vals); i++ {
 		if vals[i] > vals[i-1]*(1+1e-9) {

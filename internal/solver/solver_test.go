@@ -80,7 +80,7 @@ func TestFISTAConvergenceRate(t *testing.T) {
 		var vals []float64
 		_, err := algo(op, y, Options[float64]{
 			MaxIter: 200, Tol: -1, Lambda: lam,
-			Monitor: func(_ int, obj float64) { vals = append(vals, obj) },
+			Trace: func(_ int, s IterSample) { vals = append(vals, s.Objective) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestFISTAMonotoneObjectiveISTA(t *testing.T) {
 	var vals []float64
 	_, err := ISTA(op, y, Options[float64]{
 		MaxIter: 100, Tol: -1, Lambda: 1e-3,
-		Monitor: func(_ int, obj float64) { vals = append(vals, obj) },
+		Trace: func(_ int, s IterSample) { vals = append(vals, s.Objective) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -76,8 +76,8 @@ func TwIST[T linalg.Float](a linalg.Op[T], y []T, opt TwISTOptions[T]) (Result[T
 			objNext = st.objective(next, opt.Lambda)
 		}
 		res.Iterations = k
-		if opt.Monitor != nil {
-			opt.Monitor(k, objNext)
+		if opt.Trace != nil {
+			opt.Trace(k, IterSample{Objective: float64(objNext)})
 		}
 		if st.converged(next, cur, opt.Tol) {
 			prev, cur = cur, next

@@ -26,7 +26,7 @@ func TestTwISTMonotone(t *testing.T) {
 	_, err := TwIST(op, y, TwISTOptions[float64]{
 		Options: Options[float64]{
 			MaxIter: 300, Tol: -1, Lambda: 1e-3,
-			Monitor: func(_ int, obj float64) { vals = append(vals, obj) },
+			Trace: func(_ int, s IterSample) { vals = append(vals, s.Objective) },
 		},
 	})
 	if err != nil {

@@ -14,6 +14,7 @@ package triage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -230,42 +231,14 @@ func Analyze(traces []telemetry.TraceRecord, opts Options) *Report {
 			perStage[stage] = append(perStage[stage], d)
 		}
 	}
-	//csecg:orderok rep.Stages is fully sorted (total, then name) below
-	for stage, vals := range perStage {
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		var total int64
-		for _, v := range vals {
-			total += v
-		}
-		st := StageStat{
-			Stage: stage, Count: len(vals),
-			P50Ns: percentile(vals, 50), P95Ns: percentile(vals, 95), P99Ns: percentile(vals, 99),
-			TotalNs: total,
-		}
-		if totalLatency > 0 {
-			st.Share = float64(total) / float64(totalLatency)
-		}
-		rep.Stages = append(rep.Stages, st)
-	}
-	sort.Slice(rep.Stages, func(i, j int) bool {
-		if rep.Stages[i].TotalNs != rep.Stages[j].TotalNs {
-			return rep.Stages[i].TotalNs > rep.Stages[j].TotalNs
-		}
-		return rep.Stages[i].Stage < rep.Stages[j].Stage
-	})
+	rep.Stages = stageTable(perStage, totalLatency)
 
 	// Per-rung dominant-stage ranking.
 	byRung := map[int][]window{}
 	for _, w := range wins {
 		byRung[w.rec.Rung] = append(byRung[w.rec.Rung], w)
 	}
-	var rungs []int
-	//csecg:orderok keys are sorted immediately below
-	for r := range byRung {
-		rungs = append(rungs, r)
-	}
-	sort.Ints(rungs)
-	for _, r := range rungs {
+	for _, r := range sortedRungs(byRung) {
 		group := byRung[r]
 		stageTotal := map[string]int64{}
 		var lats []int64
@@ -278,7 +251,7 @@ func Analyze(traces []telemetry.TraceRecord, opts Options) *Report {
 				stageTotal[stage] += d
 			}
 		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		slices.Sort(lats)
 		dom, domNs := rankDominant(stageTotal)
 		rs := RungStat{
 			Rung: r, RungName: coordinator.Rung(r).String(), Windows: len(group),
@@ -295,7 +268,7 @@ func Analyze(traces []telemetry.TraceRecord, opts Options) *Report {
 	for _, w := range wins {
 		allLats = append(allLats, w.rec.LatencyNs)
 	}
-	sort.Slice(allLats, func(i, j int) bool { return allLats[i] < allLats[j] })
+	slices.Sort(allLats)
 	rep.P99LatencyNs = percentile(allLats, 99)
 	tailStage := map[string]int64{}
 	rungCount := map[int]int{}
@@ -316,13 +289,7 @@ func Analyze(traces []telemetry.TraceRecord, opts Options) *Report {
 	if tailLatency > 0 {
 		rep.DominantShare = float64(domNs) / float64(tailLatency)
 	}
-	best := -1
-	//csecg:orderok max reduction with a lowest-rung tie-break; order-independent
-	for r, c := range rungCount {
-		if c > best || (c == best && r < rep.DominantRung) {
-			best, rep.DominantRung = c, r
-		}
-	}
+	rep.DominantRung = dominantRung(rungCount)
 
 	rep.Verdict = fmt.Sprintf("p99 dominated by %s under rung %d (%s, %.0f%% of tail latency)",
 		describeStage(rep.DominantStage), rep.DominantRung,
@@ -332,6 +299,61 @@ func Analyze(traces []telemetry.TraceRecord, opts Options) *Report {
 			rep.DivergentCount, rep.Windows, 100*rep.WorstDivergence)
 	}
 	return rep
+}
+
+// stageTable builds the per-stage table from each stage's contributions
+// (sorted in place), with shares of total, largest total first and ties
+// by name.
+func stageTable(perStage map[string][]int64, total int64) []StageStat {
+	var stages []StageStat
+	//csecg:orderok the table is fully sorted (total, then name) below
+	for stage, vals := range perStage {
+		slices.Sort(vals)
+		var sum int64
+		for _, v := range vals {
+			sum += v
+		}
+		st := StageStat{
+			Stage: stage, Count: len(vals),
+			P50Ns: percentile(vals, 50), P95Ns: percentile(vals, 95), P99Ns: percentile(vals, 99),
+			TotalNs: sum,
+		}
+		if total > 0 {
+			st.Share = float64(sum) / float64(total)
+		}
+		stages = append(stages, st)
+	}
+	sort.Slice(stages, func(i, j int) bool {
+		if stages[i].TotalNs != stages[j].TotalNs {
+			return stages[i].TotalNs > stages[j].TotalNs
+		}
+		return stages[i].Stage < stages[j].Stage
+	})
+	return stages
+}
+
+// sortedRungs returns the rungs keyed in m, ascending.
+func sortedRungs[V any](m map[int]V) []int {
+	var rungs []int
+	//csecg:orderok keys are sorted immediately below
+	for r := range m {
+		rungs = append(rungs, r)
+	}
+	sort.Ints(rungs)
+	return rungs
+}
+
+// dominantRung returns the rung with the most windows, the lowest one
+// on a tie.
+func dominantRung(count map[int]int) int {
+	best, rung := -1, 0
+	//csecg:orderok max reduction with a lowest-rung tie-break; order-independent
+	for r, c := range count {
+		if c > best || (c == best && r < rung) {
+			best, rung = c, r
+		}
+	}
+	return rung
 }
 
 // rankDominant returns the stage with the largest total (ties broken
@@ -374,45 +396,17 @@ func AnalyzeBundle(b *blackbox.Bundle) *Report {
 	var total int64
 	for i := range b.Windows {
 		w := &b.Windows[i]
-		stage := coordinator.Rung(w.Rung).SolverStage()
+		stage := w.Rung.SolverStage()
 		perStage[stage] = append(perStage[stage], w.ModeledNs)
-		byRung[w.Rung] = append(byRung[w.Rung], w.ModeledNs)
-		rungCount[w.Rung]++
+		byRung[int(w.Rung)] = append(byRung[int(w.Rung)], w.ModeledNs)
+		rungCount[int(w.Rung)]++
 		total += w.ModeledNs
 	}
-	//csecg:orderok rep.Stages is fully sorted (total, then name) below
-	for stage, vals := range perStage {
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		var sum int64
-		for _, v := range vals {
-			sum += v
-		}
-		st := StageStat{
-			Stage: stage, Count: len(vals),
-			P50Ns: percentile(vals, 50), P95Ns: percentile(vals, 95), P99Ns: percentile(vals, 99),
-			TotalNs: sum,
-		}
-		if total > 0 {
-			st.Share = float64(sum) / float64(total)
-		}
-		rep.Stages = append(rep.Stages, st)
-	}
-	sort.Slice(rep.Stages, func(i, j int) bool {
-		if rep.Stages[i].TotalNs != rep.Stages[j].TotalNs {
-			return rep.Stages[i].TotalNs > rep.Stages[j].TotalNs
-		}
-		return rep.Stages[i].Stage < rep.Stages[j].Stage
-	})
+	rep.Stages = stageTable(perStage, total)
 
-	var rungs []int
-	//csecg:orderok keys are sorted immediately below
-	for r := range byRung {
-		rungs = append(rungs, r)
-	}
-	sort.Ints(rungs)
-	for _, r := range rungs {
+	for _, r := range sortedRungs(byRung) {
 		vals := byRung[r]
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		slices.Sort(vals)
 		rep.Rungs = append(rep.Rungs, RungStat{
 			Rung: r, RungName: coordinator.Rung(r).String(), Windows: len(vals),
 			Dominant: coordinator.Rung(r).SolverStage(), DominantShare: 1,
@@ -425,15 +419,9 @@ func AnalyzeBundle(b *blackbox.Bundle) *Report {
 	for _, vals := range byRung {
 		allNs = append(allNs, vals...)
 	}
-	sort.Slice(allNs, func(i, j int) bool { return allNs[i] < allNs[j] })
+	slices.Sort(allNs)
 	rep.P99LatencyNs = percentile(allNs, 99)
-	best := -1
-	//csecg:orderok max reduction with a lowest-rung tie-break; order-independent
-	for r, c := range rungCount {
-		if c > best || (c == best && r < rep.DominantRung) {
-			best, rep.DominantRung = c, r
-		}
-	}
+	rep.DominantRung = dominantRung(rungCount)
 	rep.DominantStage = coordinator.Rung(rep.DominantRung).SolverStage()
 	rep.DominantShare = 1
 	rep.Verdict = fmt.Sprintf("decode-side only (bundle carries no span trees): p99 solver time %.1f ms, mostly %s under rung %d (%s)",
