@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build cross-build perfbench-build test bench-once race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke bench experiments-output perf-gate
+.PHONY: check vet lint vet-baseline-empty stack-budget race-analysis build cross-build perfbench-build test bench-once race chaos fuzz-smoke replay-smoke triage-smoke trace-smoke monitor-smoke bench experiments-output perf-gate
 
-check: vet lint vet-baseline-empty stack-budget build cross-build perfbench-build test bench-once race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke
+check: vet lint vet-baseline-empty stack-budget build cross-build perfbench-build test bench-once race race-analysis chaos fuzz-smoke replay-smoke triage-smoke trace-smoke monitor-smoke
 
 # vet runs the toolchain vet plus the full csecg-vet v3 suite (interval
 # rangecheck and stackcheck included) with no baseline: the tree itself
@@ -130,6 +130,24 @@ trace-smoke:
 	rm -f trace-smoke.jsonl
 	$(GO) run ./cmd/csecg-bench -exp transport -seconds 6 -trace trace-smoke.json -metrics metrics-smoke.prom -spans trace-smoke.jsonl
 	$(GO) run ./cmd/csecg-triage trace-smoke.jsonl
+
+# monitor-smoke serves one burst-lossy NACK session through the monitor
+# plane, waits for it to finish and checks every endpoint against the
+# final state; the last /sessions body is left in sessions.json. The
+# server binary is built first so that the kill reaches it.
+monitor-smoke:
+	@mkdir -p .bench_build
+	$(GO) build -o .bench_build/csecg-monitor ./cmd/csecg-monitor
+	@set -e; \
+	.bench_build/csecg-monitor -listen 127.0.0.1:9102 -records 100 -seconds 8 -burst 0.05 -nack -slo-events slo.jsonl & \
+	MON=$$!; trap 'kill $$MON 2>/dev/null || true' EXIT; \
+	for i in $$(seq 1 120); do curl -sf http://127.0.0.1:9102/healthz >/dev/null 2>&1 && break; sleep 0.5; done; \
+	for i in $$(seq 1 120); do curl -sf http://127.0.0.1:9102/sessions | grep -q '"finished": true' && break; sleep 0.5; done; \
+	curl -sf http://127.0.0.1:9102/healthz; \
+	curl -s  http://127.0.0.1:9102/readyz; \
+	curl -sf http://127.0.0.1:9102/sessions | tee sessions.json; \
+	grep -q '"finished": true' sessions.json || { echo "session never finished"; exit 1; }; \
+	curl -sf http://127.0.0.1:9102/metrics | grep -q 'quality_windows_total{session=' || { echo "missing session-labeled metrics"; exit 1; }
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

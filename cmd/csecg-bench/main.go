@@ -265,7 +265,7 @@ func run() int {
 			return r.Table(), nil
 		}},
 		{"chaos", func() (*experiments.Table, error) {
-			r, err := experiments.ChaosTraced(*short, *recordDir, opt.Trace)
+			r, err := experiments.Chaos(*short, *recordDir, opt.Trace)
 			if err != nil {
 				return nil, err
 			}

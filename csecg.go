@@ -20,7 +20,7 @@
 //	out, _ := dec.DecodePacket(pkt)      // out.Samples is the reconstruction
 //
 // Evaluation data comes from a deterministic synthetic substitute for
-// the MIT-BIH Arrhythmia Database (see Database), and platform behaviour
+// the MIT-BIH Arrhythmia Database (see RecordByID), and platform behaviour
 // (MSP430-class mote cycles/memory, Cortex-A8 VFP/NEON decode time,
 // Bluetooth airtime, battery lifetime) is modeled by the Mote,
 // coordinator and energy APIs. See DESIGN.md for the system inventory
@@ -34,8 +34,6 @@ import (
 	"csecg/internal/coordinator"
 	"csecg/internal/core"
 	"csecg/internal/ecg"
-	"csecg/internal/energy"
-	"csecg/internal/huffman"
 	"csecg/internal/link"
 	"csecg/internal/metrics"
 	"csecg/internal/mote"
@@ -64,8 +62,6 @@ type (
 	Decoder32 = core.Decoder[float32]
 	// Decoder64 is the float64 (workstation reference) decoder.
 	Decoder64 = core.Decoder[float64]
-	// Codebook is a canonical length-limited Huffman codebook.
-	Codebook = huffman.Codebook
 )
 
 // Packet kinds. KindKey and KindDelta carry data downlink; KindNack and
@@ -99,30 +95,12 @@ func MarshalPacket(p *Packet) ([]byte, error) { return p.Marshal() }
 // UnmarshalPacket parses one packet, returning it and the bytes consumed.
 func UnmarshalPacket(data []byte) (*Packet, int, error) { return core.UnmarshalPacket(data) }
 
-// TrainCodebook builds a Huffman codebook from a difference-symbol
-// histogram over the 512-symbol alphabet (see DiffHistogramModel for the
-// stock shape).
-func TrainCodebook(freq []int) (*Codebook, error) { return huffman.Train(freq) }
-
 // DiffHistogramModel returns the two-sided-geometric model histogram the
 // stock codebook is trained on.
 func DiffHistogramModel(scale float64) []int { return core.DiffHistogramModel(scale) }
 
-// Evaluation data: the MIT-BIH substitute.
-type (
-	// Record is one synthetic database record.
-	Record = ecg.Record
-	// RecordConfig parameterizes signal synthesis.
-	RecordConfig = ecg.Config
-	// Signal is a rendered two-channel segment.
-	Signal = ecg.Signal
-	// Annotation marks one synthesized beat.
-	Annotation = ecg.Annotation
-)
-
-// Database returns the 48-record substitute for the MIT-BIH Arrhythmia
-// Database (deterministic, generated on demand).
-func Database() []Record { return ecg.Database() }
+// Record is one record of the synthetic MIT-BIH substitute.
+type Record = ecg.Record
 
 // RecordByID fetches one substitute record ("100".."234").
 func RecordByID(id string) (Record, error) { return ecg.RecordByID(id) }
@@ -146,31 +124,21 @@ var (
 type (
 	// Mote is the instrumented MSP430-class encoder model.
 	Mote = mote.Model
-	// MoteReport is the per-window cost report.
-	MoteReport = mote.Report
 	// RealTimeDecoder is the Cortex-A8-class decoder model.
 	RealTimeDecoder = coordinator.RealTimeDecoder
 	// Link is the Bluetooth transport model.
 	Link = link.Link
 	// LinkConfig configures it.
 	LinkConfig = link.Config
-	// LinkStats snapshots the link's fault-injection counters.
-	LinkStats = link.Stats
 	// BurstConfig parameterizes the Gilbert–Elliott burst-loss channel.
 	BurstConfig = link.BurstConfig
 	// TransportConfig tunes the coordinator's fault-tolerant receive
 	// path (reorder buffering, NACK resync, retry backoff).
 	TransportConfig = coordinator.TransportConfig
-	// TransportStats reports gap/resync accounting for a session.
-	TransportStats = coordinator.TransportStats
 	// Receiver is the coordinator's transport endpoint.
 	Receiver = coordinator.Receiver
 	// TransportDecoded pairs a released window with its sequence number.
 	TransportDecoded = coordinator.Decoded
-	// EnergyBudget is the battery/current model.
-	EnergyBudget = energy.Budget
-	// EnergyLoad is one radio/CPU duty operating point.
-	EnergyLoad = energy.Load
 )
 
 // Coordinator execution modes.
@@ -202,30 +170,13 @@ func NewReceiver(dec *RealTimeDecoder, cfg TransportConfig) *Receiver {
 // DefaultLinkConfig returns a clean 90 kbit/s serial-profile link.
 func DefaultLinkConfig() LinkConfig { return link.DefaultConfig() }
 
-// DefaultEnergyBudget returns Shimmer-class battery constants.
-func DefaultEnergyBudget() EnergyBudget { return energy.DefaultBudget() }
-
-// Observability: zero-alloc integer counters and histograms and their
-// Prometheus text export. Tracing is the causal span trees below.
-type (
-	// Metrics is a registry of integer-only counters, gauges and
-	// log-bucketed histograms; recording is lock- and allocation-free.
-	Metrics = telemetry.Registry
-	// TelemetrySummary condenses a histogram: count, sum, max and the
-	// interpolated p50/p95/p99.
-	TelemetrySummary = telemetry.Summary
-	// Clock supplies injectable nanosecond timestamps; all telemetry
-	// timing goes through it so tests get bit-identical traces.
-	Clock = telemetry.Clock
-	// ManualClock is a settable test Clock.
-	ManualClock = telemetry.ManualClock
-)
+// Metrics is a registry of integer-only counters, gauges and
+// log-bucketed histograms; recording is lock- and allocation-free.
+// Tracing is the causal span trees below.
+type Metrics = telemetry.Registry
 
 // NewMetrics builds an empty telemetry registry.
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
-
-// NewManualClock returns a manual clock starting at the given tick.
-func NewManualClock(start int64) *ManualClock { return telemetry.NewManualClock(start) }
 
 // WriteMetrics dumps a registry in the Prometheus text format.
 func WriteMetrics(w io.Writer, m *Metrics) error { return telemetry.WritePrometheus(w, m) }

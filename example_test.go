@@ -71,16 +71,6 @@ func ExampleSNR() {
 	// 20 dB
 }
 
-// ExampleDatabase iterates the substitute MIT-BIH record set.
-func ExampleDatabase() {
-	db := csecg.Database()
-	fmt.Println("records:", len(db))
-	fmt.Println("first:", db[0].ID, "-", db[0].Description)
-	// Output:
-	// records: 48
-	// first: 100 - normal sinus rhythm, rare APCs
-}
-
 // ExampleRunStream runs a complete monitored session through the
 // platform models.
 func ExampleRunStream() {

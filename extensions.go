@@ -26,8 +26,6 @@ type (
 	QRSDetector = qrs.Detector
 	// BeatMatchStats scores detections against reference beats.
 	BeatMatchStats = qrs.MatchStats
-	// Beat is one detected beat with morphology measurements.
-	Beat = qrs.Beat
 )
 
 // NewQRSDetector builds a detector for the given sample rate.

@@ -256,7 +256,7 @@ func TestCompensatedMatrixReducesToIdealWithoutLeakage(t *testing.T) {
 	b := fe.CompensatedMatrix()
 	for i := 0; i < a.Rows(); i++ {
 		for j := 0; j < a.Cols(); j++ {
-			if math.Abs(a.At(i, j)-b.At(i, j)) > 1e-12 {
+			if math.Abs(a.Row(i)[j]-b.Row(i)[j]) > 1e-12 {
 				t.Fatalf("matrices differ at (%d,%d) without leakage", i, j)
 			}
 		}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/importer"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +15,18 @@ import (
 // expectations: a `// want "regex"` comment on a line means exactly one
 // diagnostic whose message matches the regex must be reported there,
 // and any diagnostic without a matching want fails the test.
+
+// LoadDir parses and type-checks a single directory as one package with
+// the given import path, resolving only standard-library imports — the
+// loader behind the analyzer golden tests.
+func LoadDir(dir, importPath string) (*Package, *token.FileSet, error) {
+	fset := token.NewFileSet()
+	pkg, err := typeCheckDir(fset, dir, importPath, importer.ForCompiler(fset, "source", nil))
+	if err != nil {
+		return nil, nil, err
+	}
+	return pkg, fset, nil
+}
 
 var wantRE = regexp.MustCompile(`// want "(.*)"`)
 

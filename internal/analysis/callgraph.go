@@ -155,33 +155,6 @@ func (g *CallGraph) Nodes() []*FuncNode {
 	return out
 }
 
-// Lookup finds a node by its ShortName ("core.(*Encoder).EncodeWindow")
-// or full go/types name; nil when absent.
-func (g *CallGraph) Lookup(name string) *FuncNode {
-	//csecg:orderok membership scan, first match returned deterministically by name equality
-	for fn, n := range g.nodes {
-		if shortFuncName(fn) == name || fn.FullName() == name {
-			return n
-		}
-	}
-	return nil
-}
-
-// EdgeBetween reports whether an edge caller→callee exists, by
-// ShortName.
-func (g *CallGraph) EdgeBetween(caller, callee string) bool {
-	n := g.Lookup(caller)
-	if n == nil {
-		return false
-	}
-	for _, e := range n.Out {
-		if e.Callee.ShortName() == callee {
-			return true
-		}
-	}
-	return false
-}
-
 // PathTo runs a breadth-first search from root and returns the shortest
 // edge path to the first node for which offends returns a non-empty
 // description (and that description), traversing only module-internal

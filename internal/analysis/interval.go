@@ -34,9 +34,6 @@ func single(v int64) Interval { return Interval{v, v} }
 // Empty reports whether the interval contains no values.
 func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
 
-// Contains reports whether v is in the interval.
-func (iv Interval) Contains(v int64) bool { return iv.Lo <= v && v <= iv.Hi }
-
 // ContainedIn reports iv ⊆ o (the empty interval is contained in all).
 func (iv Interval) ContainedIn(o Interval) bool {
 	return iv.Empty() || !o.Empty() && o.Lo <= iv.Lo && iv.Hi <= o.Hi

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Contains reports whether v is in the interval.
+func (iv Interval) Contains(v int64) bool { return iv.Lo <= v && v <= iv.Hi }
+
 func TestIntervalLatticeOps(t *testing.T) {
 	a := Interval{-5, 10}
 	b := Interval{3, 20}

@@ -236,15 +236,3 @@ func LoadModule(dir string) (*Module, error) {
 	}
 	return mod, nil
 }
-
-// LoadDir parses and type-checks a single directory as one package with
-// the given import path, resolving only standard-library imports — the
-// loader behind the analyzer golden tests.
-func LoadDir(dir, importPath string) (*Package, *token.FileSet, error) {
-	fset := token.NewFileSet()
-	pkg, err := typeCheckDir(fset, dir, importPath, importer.ForCompiler(fset, "source", nil))
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, fset, nil
-}

@@ -572,14 +572,6 @@ func (r *Recorder) BundlesWritten() int {
 	return len(r.bundles)
 }
 
-// Suppressed returns how many triggers the rate limiter (or a missing
-// sink) swallowed.
-func (r *Recorder) Suppressed() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.suppressed
-}
-
 // SealErr returns the first sink write or encode error, if any.
 func (r *Recorder) SealErr() error {
 	r.mu.Lock()
@@ -597,11 +589,4 @@ func (r *Recorder) WindowRecords() []coordinator.WindowCapture {
 		out[i] = r.windows[(r.wHead+i)%len(r.windows)]
 	}
 	return out
-}
-
-// CapturedWindows returns the monotonic count of windows ever captured.
-func (r *Recorder) CapturedWindows() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.capturedWindows
 }

@@ -135,7 +135,7 @@ func TestWindowAndEventRingWraparound(t *testing.T) {
 		rec.RecordWindow(coordinator.WindowCapture{Slot: i, Ordinal: int64(i), Seq: uint32(i)})
 		rec.RecordHealth(i, coordinator.HealthStarting, coordinator.HealthDecoding)
 	}
-	if got := rec.CapturedWindows(); got != 10 {
+	if got := rec.capturedWindows; got != 10 {
 		t.Fatalf("captured %d windows, want 10", got)
 	}
 	if _, err := rec.SealNow(TriggerManual, "test"); err != nil {
@@ -177,8 +177,8 @@ func TestTriggerRateLimiting(t *testing.T) {
 	if path := rec.TriggerSeal(TriggerSLO, 200, "too soon"); path != "" {
 		t.Fatalf("gap-violating trigger sealed %s", path)
 	}
-	if rec.Suppressed() != 1 {
-		t.Fatalf("suppressed %d, want 1", rec.Suppressed())
+	if rec.suppressed != 1 {
+		t.Fatalf("suppressed %d, want 1", rec.suppressed)
 	}
 	for i := 0; i < 4; i++ {
 		rec.RecordWindow(coordinator.WindowCapture{Ordinal: int64(i)})
@@ -232,7 +232,7 @@ func TestSealWithoutSink(t *testing.T) {
 		t.Fatalf("err %v, want ErrNoSink", err)
 	}
 	rec.RecordWindow(coordinator.WindowCapture{})
-	if rec.CapturedWindows() != 1 {
+	if rec.capturedWindows != 1 {
 		t.Fatal("capture broken after sink-less seal")
 	}
 }

@@ -262,9 +262,6 @@ type Result struct {
 	CPUUsage float64
 	// Deadline reports whether the decode met RealTimeBudget.
 	Deadline bool
-	// SolveWallTime is the measured host-side solve duration on the
-	// instrumented clock (0 when the decoder is not instrumented).
-	SolveWallTime time.Duration
 	// IterTrace carries the solver's per-iteration telemetry when
 	// EnableIterationTrace was called.
 	IterTrace []solver.IterSample
@@ -309,12 +306,11 @@ func (r *RealTimeDecoder) Decode(pkt *core.Packet) (*Result, error) {
 	r.packets++
 	period := float64(r.dec.Params().N) / core.FsMote
 	out := &Result{
-		DecodeResult:  res,
-		ModeledTime:   modeled,
-		CPUUsage:      modeled.Seconds() / period,
-		Deadline:      modeled <= RealTimeBudget(r.dec.Params()),
-		SolveWallTime: wall,
-		Rung:          rung,
+		DecodeResult: res,
+		ModeledTime:  modeled,
+		CPUUsage:     modeled.Seconds() / period,
+		Deadline:     modeled <= RealTimeBudget(r.dec.Params()),
+		Rung:         rung,
 	}
 	out.Degraded = rung != RungNominal || res.DeadlineExpired
 	if r.iterTrace && len(r.curTrace) > 0 {

@@ -15,24 +15,6 @@ import (
 // one-time amortized growth (the bit writer's first window) does not
 // count against the steady state.
 
-func TestPushSampleZeroAllocs(t *testing.T) {
-	enc, err := NewEncoder(Params{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := enc.Params().N
-	sample, idx := int16(1024), 0
-	avg := testing.AllocsPerRun(3*n, func() {
-		if _, err := enc.PushSample(sample + int16(idx%9)); err != nil {
-			t.Fatal(err)
-		}
-		idx++
-	})
-	if avg != 0 {
-		t.Errorf("PushSample allocates %.2f times per call, want 0", avg)
-	}
-}
-
 func TestEncodeWindowSteadyStateZeroAllocs(t *testing.T) {
 	enc, err := NewEncoder(Params{Seed: 7})
 	if err != nil {

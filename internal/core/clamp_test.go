@@ -43,38 +43,6 @@ func TestEncodeWindowClampsADCRange(t *testing.T) {
 	}
 }
 
-// TestPushSampleClampsADCRange checks the same clamp on the streaming
-// path, where the wrap would have happened inside AddMeasureInt's
-// accumulation instead.
-func TestPushSampleClampsADCRange(t *testing.T) {
-	encode := func(fill int16) []byte {
-		enc, err := NewEncoder(Params{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var blob []byte
-		for i := 0; i < enc.Params().N; i++ {
-			pkt, err := enc.PushSample(fill)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pkt != nil {
-				blob, err = pkt.Marshal()
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if blob == nil {
-			t.Fatal("no packet after a full window of samples")
-		}
-		return blob
-	}
-	if got, want := encode(-32768), encode(0); !bytes.Equal(got, want) {
-		t.Error("streamed −32768 encodes differently from streamed 0")
-	}
-}
-
 // TestRoundTHalfAwayFromZero pins the requantizer's rounding, including
 // the largest float below one half: adding 0.5 to 0.49999997 rounds the
 // float32 sum to 1.0, which a round-then-truncate would keep.

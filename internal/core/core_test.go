@@ -462,62 +462,6 @@ func BenchmarkDecodePacketFloat32(b *testing.B) {
 	}
 }
 
-func TestStreamingEncoderMatchesBatch(t *testing.T) {
-	params := Params{Seed: 0x51BB}
-	batch, err := NewEncoder(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := NewEncoder(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	windows := testWindows(t, 10)
-	for wi, win := range windows {
-		bp, err := batch.EncodeWindow(win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sp *Packet
-		for si, s := range win {
-			p, err := stream.PushSample(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if si < len(win)-1 && p != nil {
-				t.Fatalf("window %d: packet emitted mid-window at sample %d", wi, si)
-			}
-			if si == len(win)-1 {
-				sp = p
-			}
-		}
-		if sp == nil {
-			t.Fatalf("window %d: no packet at window end", wi)
-		}
-		bb, _ := bp.Marshal()
-		sb, _ := sp.Marshal()
-		if len(bb) != len(sb) {
-			t.Fatalf("window %d: batch %d B vs stream %d B", wi, len(bb), len(sb))
-		}
-		for i := range bb {
-			if bb[i] != sb[i] {
-				t.Fatalf("window %d: wire images differ at byte %d", wi, i)
-			}
-		}
-	}
-	// Mixing modes mid-window is rejected.
-	if _, err := stream.PushSample(1024); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stream.EncodeWindow(windows[0]); err == nil {
-		t.Error("EncodeWindow accepted with a streamed sample pending")
-	}
-	stream.Reset()
-	if _, err := stream.EncodeWindow(windows[0]); err != nil {
-		t.Errorf("EncodeWindow after Reset: %v", err)
-	}
-}
-
 func TestMeasurementLockstepProperty(t *testing.T) {
 	// Property: for arbitrary window contents (full int16 ADC range,
 	// including rail-to-rail jumps that force escape coding), the

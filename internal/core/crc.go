@@ -39,7 +39,3 @@ func crc16(data []byte) uint16 {
 	}
 	return crc
 }
-
-// CRC16 exposes the wire CRC for integrity checks outside the packet
-// codec (test harnesses, chaos fault injection).
-func CRC16(data []byte) uint16 { return crc16(data) }

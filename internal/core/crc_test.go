@@ -9,11 +9,11 @@ import (
 // CRC-16/CCITT-FALSE check value so a table or shift-direction bug
 // cannot silently redefine the wire format.
 func TestCRC16KnownAnswer(t *testing.T) {
-	if got := CRC16([]byte("123456789")); got != 0x29B1 {
-		t.Fatalf("CRC16(check string) = %#x, want 0x29B1", got)
+	if got := crc16([]byte("123456789")); got != 0x29B1 {
+		t.Fatalf("crc16(check string) = %#x, want 0x29B1", got)
 	}
-	if got := CRC16(nil); got != 0xFFFF {
-		t.Fatalf("CRC16(empty) = %#x, want init value 0xFFFF", got)
+	if got := crc16(nil); got != 0xFFFF {
+		t.Fatalf("crc16(empty) = %#x, want init value 0xFFFF", got)
 	}
 }
 
@@ -25,7 +25,7 @@ func TestCRC16DetectsBursts(t *testing.T) {
 	for i := range frame {
 		frame[i] = byte(i*37 + 11)
 	}
-	ref := CRC16(frame)
+	ref := crc16(frame)
 	for start := 0; start < len(frame)*8-16; start++ {
 		for width := 1; width <= 16; width++ {
 			mut := append([]byte(nil), frame...)
@@ -36,7 +36,7 @@ func TestCRC16DetectsBursts(t *testing.T) {
 			if end := start + width - 1; end != start {
 				mut[end/8] ^= 1 << (end % 8)
 			}
-			if CRC16(mut) == ref {
+			if crc16(mut) == ref {
 				t.Fatalf("burst at bit %d width %d undetected", start, width)
 			}
 		}

@@ -184,8 +184,8 @@ func (d *Decoder[T]) DecodePacket(pkt *Packet) (*DecodeResult[T], error) {
 	var res solver.Result[T]
 	var err error
 	switch {
-	case d.Algorithm != solver.AlgoFISTA:
-		res, err = solver.Solve(d.Algorithm, d.a, y, opt, 1)
+	case d.Algorithm == solver.AlgoGPSR:
+		res, err = solver.GPSR(d.a, y, opt)
 	case d.haveWarm || d.ContinuationStages <= 1:
 		res, err = d.ws.FISTA(y, opt)
 	default:

@@ -22,8 +22,6 @@ type Encoder struct {
 	// forceKey promotes the next packet to a key frame (the NACK
 	// protocol's on-demand resync), independent of the schedule.
 	forceKey bool
-	// streamIdx tracks PushSample progress within the current window.
-	streamIdx int
 	// scratch buffers reused across windows (the mote has 10 kB of RAM).
 	y       []int32
 	symbols []int
@@ -70,17 +68,12 @@ func (e *Encoder) Params() Params { return e.p }
 func (e *Encoder) ForceKeyFrame() { e.forceKey = true }
 
 // Reset returns the encoder to the start-of-stream state (next packet is
-// a key frame, sequence restarts, any partially streamed window is
-// discarded).
+// a key frame, sequence restarts).
 func (e *Encoder) Reset() {
 	e.seq = 0
 	e.forceKey = false
-	e.streamIdx = 0
 	for i := range e.prevY {
 		e.prevY[i] = 0
-	}
-	for i := range e.y {
-		e.y[i] = 0
 	}
 }
 
@@ -90,15 +83,12 @@ func (e *Encoder) Reset() {
 //
 // The returned packet is owned by the encoder — the analogue of the
 // firmware's single TX buffer — and is overwritten by the next
-// EncodeWindow/PushSample call. Clone it to retain it longer.
+// EncodeWindow call. Clone it to retain it longer.
 //
 //csecg:hotpath one call per 2-second window; must not allocate
 func (e *Encoder) EncodeWindow(window []int16) (*Packet, error) {
 	if len(window) != e.p.N {
 		return nil, fmt.Errorf("core: window length %d, want %d", len(window), e.p.N) //csecg:allocok error path, never taken per-sample
-	}
-	if e.streamIdx != 0 {
-		return nil, fmt.Errorf("core: EncodeWindow with %d streamed samples pending", e.streamIdx) //csecg:allocok error path, never taken per-sample
 	}
 	// Stage 0: clamp to the ADC's physical range (out-of-range input
 	// would otherwise wrap the centering subtraction at −32768) and
@@ -109,34 +99,6 @@ func (e *Encoder) EncodeWindow(window []int16) (*Packet, error) {
 	}
 	// Stage 1: CS measurement, integer adds only.
 	e.phi.MeasureInt(e.y, e.centred)
-	return e.finishWindow()
-}
-
-// PushSample is the streaming form of EncodeWindow: it feeds one raw
-// ADC sample, updating the measurement vector incrementally (d integer
-// adds — the work a real mote does in the ADC interrupt, with no window
-// buffer at all). Every N-th sample completes a window and returns its
-// packet; otherwise the packet is nil. Like EncodeWindow, the returned
-// packet is encoder-owned and valid only until the next encode call.
-//
-//csecg:hotpath runs in the ADC interrupt on the real mote
-func (e *Encoder) PushSample(sample int16) (*Packet, error) {
-	sample = min(max(sample, 0), ADCMax) // see EncodeWindow's ADC clamp
-	e.phi.AddMeasureInt(e.y, e.streamIdx, sample-ADCBaseline)
-	e.streamIdx++
-	if e.streamIdx < e.p.N {
-		return nil, nil
-	}
-	e.streamIdx = 0
-	return e.finishWindow()
-}
-
-// finishWindow applies the LSB drop to the accumulated measurements and
-// runs the difference and entropy stages. e.y is reset for the next
-// streaming window after its contents are consumed.
-//
-//csecg:hotpath completes every window on the per-sample path
-func (e *Encoder) finishWindow() (*Packet, error) {
 	// The agreed LSB drop (round-to-nearest arithmetic shift) bounds
 	// the difference range. The rounding runs in int64: v + half wraps
 	// int32 when v is near MaxInt32, and −(−v + half) wraps outright at
@@ -168,9 +130,6 @@ func (e *Encoder) finishWindow() (*Packet, error) {
 		}
 	}
 	copy(e.prevY, e.y)
-	for i := range e.y {
-		e.y[i] = 0
-	}
 	e.seq++
 	return pkt, nil
 }

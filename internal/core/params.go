@@ -37,7 +37,7 @@ const (
 	// bounded (rangecheck proves the centering subtraction from it).
 	ADCMax = 2047
 	// MaxMeasurementShift bounds the LSB drop. withDefaults validates
-	// against it and finishWindow clamps with it locally, which is what
+	// against it and EncodeWindow clamps with it locally, which is what
 	// lets the interval engine bound the rounding shift without
 	// interprocedural knowledge.
 	MaxMeasurementShift = 8

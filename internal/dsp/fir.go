@@ -97,14 +97,3 @@ func FilterSame(x, h []float64) []float64 {
 	copy(out, full[start:start+len(x)])
 	return out
 }
-
-// FrequencyResponseMag returns |H(e^{j2πf})| of the FIR filter h at
-// normalized frequency f ∈ [0, 0.5].
-func FrequencyResponseMag(h []float64, f float64) float64 {
-	var re, im float64
-	for n, v := range h {
-		re += v * math.Cos(2*math.Pi*f*float64(n))
-		im -= v * math.Sin(2*math.Pi*f*float64(n))
-	}
-	return math.Hypot(re, im)
-}

@@ -32,9 +32,6 @@ func NewResampler(l, m, tapsPerPhase int) *Resampler {
 	return &Resampler{l: l, m: m, proto: proto}
 }
 
-// Ratio returns the reduced (L, M) pair.
-func (r *Resampler) Ratio() (l, m int) { return r.l, r.m }
-
 // Process resamples x from rate fs to fs·L/M. The output length is
 // ceil(len(x)·L/M). Polyphase evaluation: output sample k taps the
 // prototype at phase (k·M mod L) and input offset (k·M div L).

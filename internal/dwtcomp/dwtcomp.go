@@ -93,9 +93,6 @@ func bitsLen(v int) int {
 	return n
 }
 
-// PacketBits returns the fixed packed size in bits.
-func (e *Encoder) PacketBits() int { return hdrBits + e.keepK*(posBits+valBits) }
-
 // Encode compresses one zero-centered window (ADC counts − baseline).
 func (e *Encoder) Encode(window []int16) ([]byte, error) {
 	if len(window) != e.n {

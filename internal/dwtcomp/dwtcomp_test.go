@@ -57,7 +57,7 @@ func TestRoundTripQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(data), (enc.PacketBits()+7)/8; got != want {
+	if got, want := len(data), (hdrBits+enc.keepK*(posBits+valBits)+7)/8; got != want {
 		t.Errorf("packet %d B, want %d", got, want)
 	}
 	back, err := dec.Decode(data)

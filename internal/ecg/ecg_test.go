@@ -2,9 +2,9 @@ package ecg
 
 import (
 	"math"
+	"sort"
 	"testing"
 
-	"csecg/internal/linalg"
 	"csecg/internal/wavelet"
 )
 
@@ -32,9 +32,6 @@ func TestGenerateBasicShape(t *testing.T) {
 	}
 	if got := len(sig.MV[1]); got != 3600 {
 		t.Fatalf("channel 1 length %d, want 3600", got)
-	}
-	if d := sig.Duration(); math.Abs(d-10) > 1e-9 {
-		t.Errorf("Duration = %v", d)
 	}
 	// ~75 bpm for 10 s ⇒ ~12-13 beats.
 	if n := len(sig.Ann); n < 9 || n > 16 {
@@ -241,18 +238,18 @@ func TestWaveletSparsity(t *testing.T) {
 	}
 	coeffs := make([]float64, 512)
 	w.Forward(coeffs, win)
-	full := float64(linalg.Norm2(coeffs))
-	wavelet.LargestK(coeffs, 512*15/100)
-	kept := float64(linalg.Norm2(coeffs))
-	if kept/full < 0.99 {
-		t.Errorf("top-15%% energy fraction %v, want ≥ 0.99", kept/full)
+	if f := topKNormFraction(coeffs, 512*15/100); f < 0.99 {
+		t.Errorf("top-15%% energy fraction %v, want ≥ 0.99", f)
 	}
 }
 
 func TestDigitizeRoundTrip(t *testing.T) {
 	mv := []float64{0, 1, -1, 2.5, -2.5, 5.2, -5.2, 0.001}
 	adc := Digitize(mv)
-	back := ToMillivolts(adc)
+	back := make([]float64, len(adc)) // Digitize inverted, up to quantization
+	for i, v := range adc {
+		back[i] = float64(int32(v)-ADCBaseline) / ADCGain
+	}
 	for i, v := range mv {
 		want := v
 		// Clamp: ±(1023/200 or 1024/200) mV representable.
@@ -524,4 +521,21 @@ func TestAFRecordsInDatabase(t *testing.T) {
 			t.Errorf("record %s AF flag %v, want %v", r.ID, r.Cfg.AF, afIDs[r.ID])
 		}
 	}
+}
+
+// topKNormFraction returns the share of c's ℓ2 norm that its k
+// largest-magnitude entries hold.
+func topKNormFraction(c []float64, k int) float64 {
+	sq := make([]float64, len(c))
+	total := 0.0
+	for i, v := range c {
+		sq[i] = v * v
+		total += sq[i]
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(sq)))
+	kept := 0.0
+	for _, v := range sq[:k] {
+		kept += v
+	}
+	return math.Sqrt(kept / total)
 }

@@ -81,14 +81,6 @@ type Signal struct {
 	Ann []Annotation
 }
 
-// Duration returns the segment length in seconds.
-func (s *Signal) Duration() float64 {
-	if len(s.MV[0]) == 0 {
-		return 0
-	}
-	return float64(len(s.MV[0])) / s.Fs
-}
-
 // beat is one scheduled beat in the rhythm.
 type beat struct {
 	start, dur float64 // cycle start time and duration (seconds)

@@ -37,15 +37,6 @@ func Digitize(mv []float64) []int16 {
 	return out
 }
 
-// ToMillivolts inverts Digitize (up to quantization).
-func ToMillivolts(adc []int16) []float64 {
-	out := make([]float64, len(adc))
-	for i, v := range adc {
-		out[i] = float64(int32(v)-ADCBaseline) / ADCGain
-	}
-	return out
-}
-
 // Record describes one substitute-database record.
 type Record struct {
 	// ID uses MIT-BIH numbering ("100".."234").

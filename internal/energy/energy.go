@@ -82,20 +82,6 @@ func (b Budget) Lifetime(l Load) (time.Duration, error) {
 	return time.Duration(hours * float64(time.Hour)), nil
 }
 
-// LifetimeExtension returns the relative lifetime gain of the compressed
-// operating point over the baseline: lifetime(cs)/lifetime(raw) − 1.
-func (b Budget) LifetimeExtension(raw, cs Load) (float64, error) {
-	lr, err := b.Lifetime(raw)
-	if err != nil {
-		return 0, err
-	}
-	lc, err := b.Lifetime(cs)
-	if err != nil {
-		return 0, err
-	}
-	return lc.Seconds()/lr.Seconds() - 1, nil
-}
-
 // LoadFromAirtime builds a Load from per-window figures: the airtime and
 // encoder busy time spent for each window of windowSeconds.
 func LoadFromAirtime(airtimePerWindow, cpuPerWindow time.Duration, windowSeconds float64) (Load, error) {

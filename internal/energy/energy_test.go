@@ -48,10 +48,15 @@ func TestLifetimeExtensionPaperOperatingPoint(t *testing.T) {
 	b := DefaultBudget()
 	raw := Load{RadioDuty: 0.0695 / 2, CPUDuty: 0}
 	cs := Load{RadioDuty: 0.018 / 2, CPUDuty: 0.042}
-	ext, err := b.LifetimeExtension(raw, cs)
+	lr, err := b.Lifetime(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lc, err := b.Lifetime(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := lc.Seconds()/lr.Seconds() - 1
 	if ext < 0.08 || ext > 0.18 {
 		t.Errorf("lifetime extension %.1f%%, paper reports 12.9%%", ext*100)
 	}

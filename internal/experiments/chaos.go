@@ -42,17 +42,15 @@ func (r *ChaosResult) Failures() []string {
 // the kitchen sink — and judges each run on the contract: zero escaped
 // panics, bounded queue, p99 decode within the packet period, health
 // back to decoding. Short mode shrinks the sessions for CI smoke.
-func Chaos(short bool) (*ChaosResult, error) { return ChaosTraced(short, "", nil) }
-
-// ChaosTraced is Chaos with optional forensics. When recordDir is
-// non-empty every scenario records its session with the black-box
-// flight recorder, a contract violation seals a diagnostics bundle
-// naming the breach, and scenarios that triggered nothing seal one
-// end-of-run bundle anyway — so a chaos run always leaves replayable
-// evidence behind. When traces is non-nil every scenario's span trees
-// are collected into it — csecg-triage's input behind
-// `make triage-smoke`.
-func ChaosTraced(short bool, recordDir string, traces *Traces) (*ChaosResult, error) {
+//
+// When recordDir is non-empty every scenario records its session with
+// the black-box flight recorder, a contract violation seals a
+// diagnostics bundle naming the breach, and scenarios that triggered
+// nothing seal one end-of-run bundle anyway — so a chaos run always
+// leaves replayable evidence behind. When traces is non-nil every
+// scenario's span trees are collected into it — csecg-triage's input
+// behind `make triage-smoke`.
+func Chaos(short bool, recordDir string, traces *Traces) (*ChaosResult, error) {
 	res := &ChaosResult{Short: short}
 	for _, sc := range chaos.Matrix(short) {
 		if recordDir != "" {

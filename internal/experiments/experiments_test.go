@@ -598,7 +598,7 @@ func TestChaosShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is exercised in internal/chaos under -short")
 	}
-	r, err := Chaos(true)
+	r, err := Chaos(true, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

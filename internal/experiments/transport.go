@@ -5,7 +5,6 @@ import (
 
 	"csecg"
 	"csecg/internal/metrics"
-	"csecg/internal/mote"
 )
 
 // TransportRow is one (burst severity, transport mode) operating point.
@@ -72,7 +71,6 @@ func Transport(opt Options) (*TransportResult, error) {
 			cfg.Link.BitFlipProb = 0.0002
 			cfg.Link.Seed = 0xC4A7
 			cfg.Transport = csecg.TransportConfig{NACK: nack}
-			cfg.RetransmitRing = mote.DefaultRetransmitRing
 			mode := "wait-for-key"
 			if nack {
 				mode = "nack"

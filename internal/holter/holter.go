@@ -12,7 +12,6 @@ package holter
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // BeatInput is the minimal per-beat information the analytics need.
@@ -136,29 +135,6 @@ func Analyze(beats []BeatInput) (*Report, error) {
 	return rep, nil
 }
 
-// RRHistogram bins the RR intervals (seconds) into width-sized buckets
-// between lo and hi, returning bucket counts — the RR histogram printed
-// on Holter summaries. Out-of-range intervals clamp to the edge buckets.
-func RRHistogram(beats []BeatInput, lo, hi, width float64) ([]int, error) {
-	if width <= 0 || hi <= lo {
-		return nil, fmt.Errorf("holter: invalid histogram range [%v, %v] width %v", lo, hi, width)
-	}
-	n := int(math.Ceil((hi - lo) / width))
-	counts := make([]int, n)
-	for i := 1; i < len(beats); i++ {
-		rr := beats[i].Time - beats[i-1].Time
-		idx := int((rr - lo) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		counts[idx]++
-	}
-	return counts, nil
-}
-
 // CompareReports quantifies how far a report computed on reconstructed
 // data strays from the reference: the maximum relative error over the
 // headline numbers (mean HR, SDNN, RMSSD, ectopic burden). Holter
@@ -182,18 +158,4 @@ func CompareReports(ref, got *Report) float64 {
 		}
 	}
 	return worst
-}
-
-// MedianHR returns the median heart rate in bpm over all RR intervals,
-// robust to ectopy.
-func MedianHR(beats []BeatInput) (float64, error) {
-	if len(beats) < 2 {
-		return 0, fmt.Errorf("holter: %d beats, need at least 2", len(beats))
-	}
-	rrs := make([]float64, 0, len(beats)-1)
-	for i := 1; i < len(beats); i++ {
-		rrs = append(rrs, beats[i].Time-beats[i-1].Time)
-	}
-	sort.Float64s(rrs)
-	return 60 / rrs[len(rrs)/2], nil
 }

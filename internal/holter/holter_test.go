@@ -125,43 +125,6 @@ func TestAnalyzeValidation(t *testing.T) {
 	}
 }
 
-func TestRRHistogram(t *testing.T) {
-	// 0.75 sits mid-bucket, away from float-rounding edge effects.
-	beats := syntheticBeats(11, 0.75, 0) // 10 intervals of 0.75
-	h, err := RRHistogram(beats, 0.4, 1.2, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h) != 8 {
-		t.Fatalf("buckets = %d", len(h))
-	}
-	if h[3] != 10 { // [0.7, 0.8)
-		t.Errorf("histogram = %v", h)
-	}
-	// Clamping.
-	beats = append(beats, BeatInput{Time: beats[len(beats)-1].Time + 5})
-	h, _ = RRHistogram(beats, 0.4, 1.2, 0.1)
-	if h[7] != 1 {
-		t.Errorf("out-of-range interval not clamped: %v", h)
-	}
-	if _, err := RRHistogram(beats, 1, 0.5, 0.1); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
-func TestMedianHR(t *testing.T) {
-	hr, err := MedianHR(syntheticBeats(20, 0.75, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(hr-80) > 0.01 {
-		t.Errorf("MedianHR = %v, want 80", hr)
-	}
-	if _, err := MedianHR(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 func TestCompareReports(t *testing.T) {
 	a := &Report{MeanHR: 75, SDNN: 50, RMSSD: 40, VentricularPerHour: 10}
 	b := &Report{MeanHR: 75, SDNN: 55, RMSSD: 40, VentricularPerHour: 10}

@@ -54,9 +54,6 @@ func (w *BitWriter) Bytes() []byte {
 	return w.buf
 }
 
-// BitLen returns the number of bits written so far (before padding).
-func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nbit) }
-
 // Reset clears the writer for reuse.
 func (w *BitWriter) Reset() { w.buf, w.cur, w.nbit = w.buf[:0], 0, 0 }
 

@@ -149,33 +149,6 @@ func (cb *Codebook) Decode(r *BitReader) (int, error) {
 	return 0, fmt.Errorf("huffman: invalid codeword")
 }
 
-// EncodeAll encodes the symbol slice and returns the packed bytes plus
-// the exact bit count (before byte padding).
-func (cb *Codebook) EncodeAll(symbols []int) ([]byte, int, error) {
-	w := NewBitWriter()
-	for _, s := range symbols {
-		if err := cb.Encode(w, s); err != nil {
-			return nil, 0, err
-		}
-	}
-	bits := w.BitLen()
-	return w.Bytes(), bits, nil
-}
-
-// DecodeAll decodes exactly count symbols from data.
-func (cb *Codebook) DecodeAll(data []byte, count int) ([]int, error) {
-	r := NewBitReader(data)
-	out := make([]int, count)
-	for i := range out {
-		s, err := cb.Decode(r)
-		if err != nil {
-			return nil, fmt.Errorf("huffman: decoding symbol %d/%d: %w", i, count, err)
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // serialization layout (all little-endian):
 //
 //	magic  uint16 = 0xCB16

@@ -1,10 +1,41 @@
 package huffman
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// BitLen returns the number of bits written so far (before padding).
+func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nbit) }
+
+// EncodeAll encodes the symbol slice and returns the packed bytes plus
+// the exact bit count (before byte padding).
+func (cb *Codebook) EncodeAll(symbols []int) ([]byte, int, error) {
+	w := NewBitWriter()
+	for _, s := range symbols {
+		if err := cb.Encode(w, s); err != nil {
+			return nil, 0, err
+		}
+	}
+	bits := w.BitLen()
+	return w.Bytes(), bits, nil
+}
+
+// DecodeAll decodes exactly count symbols from data.
+func (cb *Codebook) DecodeAll(data []byte, count int) ([]int, error) {
+	r := NewBitReader(data)
+	out := make([]int, count)
+	for i := range out {
+		s, err := cb.Decode(r)
+		if err != nil {
+			return nil, fmt.Errorf("huffman: decoding symbol %d/%d: %w", i, count, err)
+		}
+		out[i] = s
+	}
+	return out, nil
+}
 
 func TestBitWriterReaderRoundTrip(t *testing.T) {
 	w := NewBitWriter()

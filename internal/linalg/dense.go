@@ -1,7 +1,7 @@
 package linalg
 
 // Dense is a row-major dense matrix. The CS pipeline only needs it for
-// the Gaussian/Bernoulli sensing baselines (the sparse binary path never
+// the Gaussian sensing baseline (the sparse binary path never
 // materializes a matrix), so the API is deliberately small: construction,
 // element access and the two matrix-vector products the solver needs.
 type Dense[T Float] struct {
@@ -23,9 +23,6 @@ func (m *Dense[T]) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *Dense[T]) Cols() int { return m.cols }
-
-// At returns the element at (i, j).
-func (m *Dense[T]) At(i, j int) T { return m.data[i*m.cols+j] }
 
 // Set assigns the element at (i, j).
 func (m *Dense[T]) Set(i, j int, v T) { m.data[i*m.cols+j] = v }
@@ -53,22 +50,4 @@ func (m *Dense[T]) MatTVec(dst, x []T) {
 	for i := 0; i < m.rows; i++ {
 		Axpy4(x[i], m.Row(i), dst)
 	}
-}
-
-// GramDiagMax returns max_j (MᵀM)_{jj} = max column squared norm, a cheap
-// lower bound on the operator norm used to sanity-check the power-
-// iteration result in tests.
-func (m *Dense[T]) GramDiagMax() T {
-	var best T
-	for j := 0; j < m.cols; j++ {
-		var s T
-		for i := 0; i < m.rows; i++ {
-			v := m.At(i, j)
-			s += v * v
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
 }

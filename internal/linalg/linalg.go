@@ -159,37 +159,9 @@ func SoftThreshold[T Float](dst, u []T, t T) {
 	}
 }
 
-// CopyInto copies src into dst, panicking on length mismatch. A thin
-// wrapper over copy that catches silent truncation bugs in solver code.
-func CopyInto[T Float](dst, src []T) {
-	if len(dst) != len(src) {
-		panic("linalg: CopyInto length mismatch")
-	}
-	copy(dst, src)
-}
-
 // Fill sets every element of dst to v.
 func Fill[T Float](dst []T, v T) {
 	for i := range dst {
 		dst[i] = v
 	}
-}
-
-// MaxAbsDiff returns max_i |a[i]−b[i]|, used for convergence checks and
-// test assertions.
-func MaxAbsDiff[T Float](a, b []T) T {
-	if len(a) != len(b) {
-		panic("linalg: MaxAbsDiff length mismatch")
-	}
-	var m T
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -305,9 +305,6 @@ func (l *Link) EndWindow(nominal time.Duration) time.Duration {
 	return l.driftSkew
 }
 
-// DriftSkew returns the accumulated clock skew.
-func (l *Link) DriftSkew() time.Duration { return l.driftSkew }
-
 // Flush releases any frame still held by the reorder model (end of
 // session: the delayed frame eventually arrives).
 func (l *Link) Flush() [][]byte {
@@ -318,17 +315,6 @@ func (l *Link) Flush() [][]byte {
 	l.held = nil
 	l.reordered++
 	return out
-}
-
-// Transmit is the single-frame convenience for channels without
-// reordering or duplication: it returns the delivered frame (nil if the
-// frame was dropped) and the airtime consumed.
-func (l *Link) Transmit(frame []byte) ([]byte, time.Duration) {
-	frames, at := l.TransmitMulti(frame)
-	if len(frames) == 0 {
-		return nil, at
-	}
-	return frames[0], at
 }
 
 // TransmitPacketMulti marshals and transmits a pipeline packet,

@@ -19,18 +19,9 @@ func CR(origBits, compBits int) float64 {
 	return float64(origBits-compBits) / float64(origBits) * 100
 }
 
-// MeasurementCR is the CS-stage compression ratio 100·(1 − M/N): the
-// fraction of Nyquist samples not acquired. The sweep experiments use it
-// as the independent variable (the entropy-coding stage adds on top).
-func MeasurementCR(m, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return 100 * (1 - float64(m)/float64(n))
-}
-
-// MForCR inverts MeasurementCR: the number of measurements that realizes
-// a target CS compression ratio over length-n windows, clamped to [1, n].
+// MForCR returns the number of measurements M that realizes a target
+// CS-stage compression ratio 100·(1 − M/n) over length-n windows,
+// clamped to [1, n].
 func MForCR(cr float64, n int) int {
 	m := int(math.Round(float64(n) * (1 - cr/100)))
 	if m < 1 {
@@ -93,27 +84,6 @@ func SNR(prd float64) float64 {
 		return math.Inf(1)
 	}
 	return -20 * math.Log10(0.01*prd)
-}
-
-// PRDFromSNR inverts SNR.
-func PRDFromSNR(snr float64) float64 {
-	return 100 * math.Pow(10, -snr/20)
-}
-
-// RMSE returns the root-mean-square error between x and xr.
-func RMSE(x, xr []float64) (float64, error) {
-	if len(x) != len(xr) {
-		return 0, fmt.Errorf("metrics: length mismatch %d vs %d", len(x), len(xr))
-	}
-	if len(x) == 0 {
-		return 0, nil
-	}
-	var num float64
-	for i := range x {
-		d := x[i] - xr[i]
-		num += d * d
-	}
-	return math.Sqrt(num / float64(len(x))), nil
 }
 
 // Quality is the diagnostic-quality interpretation of a PRDN value,

@@ -24,8 +24,11 @@ func TestCR(t *testing.T) {
 }
 
 func TestMeasurementCRAndInverse(t *testing.T) {
-	if got := MeasurementCR(256, 512); got != 50 {
-		t.Errorf("MeasurementCR = %v, want 50", got)
+	// measurementCR is the CS-stage ratio 100·(1 − M/N) that MForCR
+	// inverts.
+	measurementCR := func(m, n int) float64 { return 100 * (1 - float64(m)/float64(n)) }
+	if got := measurementCR(MForCR(50, 512), 512); got != 50 {
+		t.Errorf("measurementCR(MForCR(50)) = %v, want 50", got)
 	}
 	if got := MForCR(50, 512); got != 256 {
 		t.Errorf("MForCR(50) = %v, want 256", got)
@@ -39,7 +42,7 @@ func TestMeasurementCRAndInverse(t *testing.T) {
 	// Round trip within rounding for the sweep range.
 	for cr := 30.0; cr <= 90; cr += 2.5 {
 		m := MForCR(cr, 512)
-		if got := MeasurementCR(m, 512); math.Abs(got-cr) > 0.1 {
+		if got := measurementCR(m, 512); math.Abs(got-cr) > 0.1 {
 			t.Errorf("round trip CR %v -> M %d -> %v", cr, m, got)
 		}
 	}
@@ -121,26 +124,10 @@ func TestSNRRoundTrip(t *testing.T) {
 		prds = append(prds, math.Pow(10, 6*g.Float64()-3), 100*g.Float64()+1e-3)
 	}
 	for _, prd := range prds {
-		if got := PRDFromSNR(SNR(prd)); math.Abs(got-prd) > 1e-9*prd {
-			t.Fatalf("PRDFromSNR(SNR(%v)) = %v", prd, got)
+		// The inverse of SNR's −20·log10(PRD/100).
+		if got := 100 * math.Pow(10, -SNR(prd)/20); math.Abs(got-prd) > 1e-9*prd {
+			t.Fatalf("SNR(%v) inverts to %v", prd, got)
 		}
-	}
-}
-
-func TestRMSE(t *testing.T) {
-	got, err := RMSE([]float64{0, 0}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(12.5)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("RMSE = %v, want %v", got, want)
-	}
-	if _, err := RMSE([]float64{1}, []float64{}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if got, err := RMSE(nil, nil); err != nil || got != 0 {
-		t.Errorf("empty RMSE = %v, %v", got, err)
 	}
 }
 

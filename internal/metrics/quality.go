@@ -86,12 +86,6 @@ func EstimatePRDN(o QualityObservables) float64 {
 	return est
 }
 
-// EstimateBad reports whether the window's estimated PRDN crosses the
-// paper's 9 % diagnostic-quality boundary.
-func EstimateBad(o QualityObservables) bool {
-	return EstimatePRDN(o) > GoodPRDN
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0

@@ -172,11 +172,11 @@ func TestEstimatePRDNProperties(t *testing.T) {
 	}
 	// A typical CR-50 window sits in the paper's "good" band; a
 	// CR-90-style window must cross the 9 % boundary.
-	if metrics.EstimateBad(base) {
+	if metrics.EstimatePRDN(base) > metrics.GoodPRDN {
 		t.Errorf("CR-50-class window misclassified bad (est %.2f)", e0)
 	}
 	deep := metrics.QualityObservables{Residual: 0.012, M: 51, N: 512, Converged: false}
-	if !metrics.EstimateBad(deep) {
+	if metrics.EstimatePRDN(deep) <= metrics.GoodPRDN {
 		t.Errorf("CR-90-class window misclassified good (est %.2f)", metrics.EstimatePRDN(deep))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,12 +159,17 @@ func TestDebugBundleEndpoint(t *testing.T) {
 	}
 }
 
+// stepClock is a telemetry.Clock the test moves by hand.
+type stepClock struct{ ns atomic.Int64 }
+
+func (c *stepClock) Now() int64 { return c.ns.Load() }
+
 // TestMetricsProcessSeries: /metrics leads with the process-level
 // series — build metadata and uptime — ahead of any session registry.
 func TestMetricsProcessSeries(t *testing.T) {
-	clk := &telemetry.ManualClock{}
+	clk := &stepClock{}
 	srv := monitor.NewServer(clk)
-	clk.Advance(2_500_000_000) // 2.5 s of uptime
+	clk.ns.Add(2_500_000_000) // 2.5 s of uptime
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -37,18 +37,18 @@ func TestSLOBurnRateLadder(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		observe(false)
 	}
-	if got := slo.State(); got != monitor.AlertOK {
+	if got := slo.Snapshot().State; got != monitor.AlertOK.String() {
 		t.Fatalf("clean ramp: state %v, want ok", got)
 	}
 	// One violation in five samples burns the 20 % budget exactly on
 	// schedule → warning; three of seven samples burn 2.1× → page.
 	observe(true)
-	if got := slo.State(); got != monitor.AlertWarning {
+	if got := slo.Snapshot().State; got != monitor.AlertWarning.String() {
 		t.Fatalf("burn 1.0: state %v, want warning", got)
 	}
 	observe(true)
 	observe(true)
-	if got := slo.State(); got != monitor.AlertCritical {
+	if got := slo.Snapshot().State; got != monitor.AlertCritical.String() {
 		t.Fatalf("burn 2.1: state %v, want critical", got)
 	}
 	if g := reg.Gauge("slo_quality_alert_state").Load(); g != int64(monitor.AlertCritical) {
@@ -61,22 +61,16 @@ func TestSLOBurnRateLadder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		observe(false)
 	}
-	if got := slo.State(); got != monitor.AlertOK {
+	if got := slo.Snapshot().State; got != monitor.AlertOK.String() {
 		t.Fatalf("after clean tail: state %v, want ok", got)
 	}
-	if got := slo.BurnRate(); got != 0 {
+	if got := slo.Snapshot().Burn; got != 0 {
 		t.Errorf("burn rate %v after the burst aged out, want 0", got)
 	}
 
 	wantPath := []string{"ok→warning", "warning→critical", "critical→warning", "warning→ok"}
-	trs := slo.Transitions()
-	if len(trs) != len(wantPath) {
-		t.Fatalf("got %d transitions %+v, want %d", len(trs), trs, len(wantPath))
-	}
-	for i, tr := range trs {
-		if got := tr.From + "→" + tr.To; got != wantPath[i] {
-			t.Errorf("transition %d: %s, want %s", i, got, wantPath[i])
-		}
+	if n := slo.Snapshot().Transitions; n != len(wantPath) {
+		t.Fatalf("got %d transitions, want %d", n, len(wantPath))
 	}
 	if c := reg.Counter("slo_quality_transitions_total").Load(); c != int64(len(wantPath)) {
 		t.Errorf("transitions counter %d, want %d", c, len(wantPath))
@@ -92,6 +86,9 @@ func TestSLOBurnRateLadder(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("line %d not JSON: %v\n%s", i, err, line)
 		}
+		if got := ev.From + "→" + ev.To; got != wantPath[i] {
+			t.Errorf("transition %d: %s, want %s", i, got, wantPath[i])
+		}
 		if ev.SLO != "quality" || ev.Session != "rec 100" {
 			t.Errorf("line %d labels: slo=%q session=%q", i, ev.SLO, ev.Session)
 		}
@@ -99,8 +96,8 @@ func TestSLOBurnRateLadder(t *testing.T) {
 			t.Errorf("line %d missing context: %+v", i, ev)
 		}
 	}
-	if err := slo.SinkErr(); err != nil {
-		t.Errorf("sink error: %v", err)
+	if e := slo.Snapshot().SinkError; e != "" {
+		t.Errorf("sink error: %s", e)
 	}
 }
 

@@ -105,7 +105,7 @@ type SLO struct {
 
 	stateGauge, burnGauge *telemetry.Gauge
 	transitions           *telemetry.Counter
-	history               []Transition
+	nTransitions          int
 }
 
 // NewSLO builds a tracker. The registry (optional) receives
@@ -182,7 +182,7 @@ func (s *SLO) Observe(timelineNs int64, violated bool) {
 		Samples:    s.n,
 	}
 	s.state = next
-	s.history = append(s.history, tr)
+	s.nTransitions++
 	if s.stateGauge != nil {
 		s.stateGauge.Set(int64(next))
 	}
@@ -218,35 +218,6 @@ func (s *SLO) burnLocked() float64 {
 	return float64(s.violations) / float64(s.n) / s.cfg.Budget
 }
 
-// State returns the current alert state.
-func (s *SLO) State() AlertState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
-// BurnRate returns the current burn rate (1 = consuming the error
-// budget exactly on schedule).
-func (s *SLO) BurnRate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.burnLocked()
-}
-
-// Transitions returns the alert history so far.
-func (s *SLO) Transitions() []Transition {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Transition(nil), s.history...)
-}
-
-// SinkErr reports the first JSONL write failure (nil when healthy).
-func (s *SLO) SinkErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sinkErr
-}
-
 // Status is the SLO's JSON snapshot for /sessions.
 type Status struct {
 	State       string  `json:"state"`
@@ -255,18 +226,24 @@ type Status struct {
 	Samples     int     `json:"samples"`
 	Budget      float64 `json:"budget"`
 	Transitions int     `json:"transitions"`
+	// SinkError is the first transition-log write failure, if any.
+	SinkError string `json:"sink_error,omitempty"`
 }
 
 // Snapshot returns the JSON status.
 func (s *SLO) Snapshot() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Status{
+	st := Status{
 		State:       s.state.String(),
 		Burn:        s.burnLocked(),
 		Violations:  s.violations,
 		Samples:     s.n,
 		Budget:      s.cfg.Budget,
-		Transitions: len(s.history),
+		Transitions: s.nTransitions,
 	}
+	if s.sinkErr != nil {
+		st.SinkError = s.sinkErr.Error()
+	}
+	return st
 }

@@ -95,7 +95,6 @@ type Model struct {
 	// retransmission (nil when the NACK protocol is disabled).
 	ring        []*core.Packet
 	retransmits int64
-	reboots     int64
 
 	totalCycles  int64
 	totalWindows int64
@@ -111,9 +110,6 @@ func New(p core.Params) (*Model, error) {
 	}
 	return &Model{enc: enc, costs: DefaultCosts()}, nil
 }
-
-// SetCosts overrides the cycle-cost calibration.
-func (m *Model) SetCosts(c Costs) { m.costs = c }
 
 // Instrument attaches session telemetry: encode-side counters and
 // cycle histograms recorded on every window. A nil registry detaches.
@@ -146,11 +142,7 @@ func (m *Model) Reboot() {
 	for i := range m.ring {
 		m.ring[i] = nil
 	}
-	m.reboots++
 }
-
-// Reboots counts the modeled brownout restarts so far.
-func (m *Model) Reboots() int64 { return m.reboots }
 
 // EnableRetransmitBuffer allocates a k-slot retransmit ring holding the
 // last k encoded packets for the NACK protocol. It fails if the
@@ -172,9 +164,6 @@ func (m *Model) EnableRetransmitBuffer(k int) error {
 	}
 	return nil
 }
-
-// RetransmitRing returns the configured ring size in packets.
-func (m *Model) RetransmitRing() int { return len(m.ring) }
 
 // Retransmit fetches the packet with the given sequence number from the
 // ring, charging the re-framing cycles the UART feed costs. It returns

@@ -164,8 +164,8 @@ func TestRetransmitRing(t *testing.T) {
 	if err := m.EnableRetransmitBuffer(4); err != nil {
 		t.Fatal(err)
 	}
-	if m.RetransmitRing() != 4 {
-		t.Errorf("ring size %d, want 4", m.RetransmitRing())
+	if len(m.ring) != 4 {
+		t.Errorf("ring size %d, want 4", len(m.ring))
 	}
 	mem := m.MemoryFootprint()
 	if mem.RetransmitRing != 4*RetransmitSlotBytes {
@@ -216,7 +216,7 @@ func TestRetransmitRingRAMBudget(t *testing.T) {
 	if err := m.EnableRetransmitBuffer(core.MaxNackRange); err == nil {
 		t.Error("over-budget ring accepted")
 	}
-	if m.RetransmitRing() != 0 {
+	if len(m.ring) != 0 {
 		t.Error("failed enable left the ring allocated")
 	}
 	if err := m.EnableRetransmitBuffer(-1); err == nil {
@@ -225,7 +225,7 @@ func TestRetransmitRingRAMBudget(t *testing.T) {
 	if err := m.EnableRetransmitBuffer(DefaultRetransmitRing); err != nil {
 		t.Errorf("default ring rejected: %v", err)
 	}
-	if err := m.EnableRetransmitBuffer(0); err != nil || m.RetransmitRing() != 0 {
+	if err := m.EnableRetransmitBuffer(0); err != nil || len(m.ring) != 0 {
 		t.Error("ring not disabled by k=0")
 	}
 }
@@ -272,9 +272,6 @@ func TestRebootRestartsSequenceAndClearsRing(t *testing.T) {
 		t.Fatal("ring empty before reboot")
 	}
 	m.Reboot()
-	if m.Reboots() != 1 {
-		t.Fatalf("Reboots = %d, want 1", m.Reboots())
-	}
 	for seq := uint32(1); seq <= 4; seq++ {
 		if _, ok := m.Retransmit(seq); ok {
 			t.Fatalf("seq %d survived the reboot in the retransmit ring", seq)

@@ -104,7 +104,7 @@ func (d *Detector) DetectBeats(x []float64) []Beat {
 		if medW > 0 && medA > 0 {
 			beats[i].Score = (beats[i].WidthSec / medW) * (beats[i].PeakToPeak / medA)
 		}
-		beats[i].Ventricular = beats[i].Score > d.scoreThreshold()
+		beats[i].Ventricular = beats[i].Score > VentricularScore
 	}
 	return beats
 }
@@ -121,17 +121,6 @@ func median(v []float64) float64 {
 		}
 	}
 	return v[len(v)/2]
-}
-
-// SetScoreThreshold overrides the ventricular classification score
-// boundary. Zero restores VentricularScore.
-func (d *Detector) SetScoreThreshold(score float64) { d.widthThresh = score }
-
-func (d *Detector) scoreThreshold() float64 {
-	if d.widthThresh > 0 {
-		return d.widthThresh
-	}
-	return VentricularScore
 }
 
 // ClassificationStats scores beat classification against labeled
@@ -151,15 +140,6 @@ func (c ClassificationStats) PVCSensitivity() float64 {
 		return 1
 	}
 	return float64(c.TruePVC) / float64(den)
-}
-
-// NormalSpecificity returns the fraction of reference normal beats
-// classified narrow (1 when none exist).
-func (c ClassificationStats) NormalSpecificity() float64 {
-	if c.NormalTotal == 0 {
-		return 1
-	}
-	return float64(c.NormalCorrect) / float64(c.NormalTotal)
 }
 
 // ScoreClassification matches classified beats to labeled references

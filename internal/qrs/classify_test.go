@@ -6,6 +6,15 @@ import (
 	"csecg/internal/ecg"
 )
 
+// NormalSpecificity returns the fraction of reference normal beats
+// classified narrow (1 when none exist).
+func (c ClassificationStats) NormalSpecificity() float64 {
+	if c.NormalTotal == 0 {
+		return 1
+	}
+	return float64(c.NormalCorrect) / float64(c.NormalTotal)
+}
+
 // classifyRecord runs the full detect-and-classify path on a record and
 // scores it against ground truth.
 func classifyRecord(t *testing.T, id string, seconds float64) ClassificationStats {
@@ -83,21 +92,6 @@ func TestDetectBeatsEmpty(t *testing.T) {
 	det, _ := NewDetector(256)
 	if got := det.DetectBeats(make([]float64, 100)); got != nil {
 		t.Error("short input produced beats")
-	}
-}
-
-func TestSetScoreThreshold(t *testing.T) {
-	det, _ := NewDetector(256)
-	if det.scoreThreshold() != VentricularScore {
-		t.Error("default score threshold wrong")
-	}
-	det.SetScoreThreshold(1.5)
-	if det.scoreThreshold() != 1.5 {
-		t.Error("override ignored")
-	}
-	det.SetScoreThreshold(0)
-	if det.scoreThreshold() != VentricularScore {
-		t.Error("reset ignored")
 	}
 }
 

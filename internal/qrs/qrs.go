@@ -28,9 +28,6 @@ type Detector struct {
 	integLen int
 	// Refractory period (200 ms) and searchback window (1.66 × mean RR).
 	refractory int
-	// widthThresh overrides the beat classifier's ventricular width
-	// ratio (0 selects VentricularWidthRatio).
-	widthThresh float64
 }
 
 // NewDetector builds a detector for sample rate fs (Hz). Rates below

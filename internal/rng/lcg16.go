@@ -65,7 +65,3 @@ func (g *LCG16) SampleK(dst []int, k, n int) {
 	}
 	insertionSort(dst[:k])
 }
-
-// State returns the current internal state, letting the decoder clone the
-// encoder's generator mid-stream.
-func (g *LCG16) State() uint16 { return g.state }

@@ -158,18 +158,6 @@ func (x *Xoshiro) Sign() int {
 	return -1
 }
 
-// Perm fills dst with a uniformly random permutation of 0..len(dst)-1
-// using the Fisher-Yates shuffle.
-func (x *Xoshiro) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := x.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-}
-
 // SampleK writes k distinct integers drawn uniformly from [0, n) into dst
 // in ascending order. It panics if k > n or len(dst) < k. The selection
 // uses Floyd's algorithm, touching O(k) memory, which matters when the

@@ -144,19 +144,6 @@ func TestSign(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	x := New(3)
-	dst := make([]int, 257)
-	x.Perm(dst)
-	seen := make([]bool, len(dst))
-	for _, v := range dst {
-		if v < 0 || v >= len(dst) || seen[v] {
-			t.Fatalf("Perm produced invalid permutation (value %d)", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSampleKProperties(t *testing.T) {
 	x := New(11)
 	f := func(seed uint64, kRaw, nRaw uint16) bool {
@@ -240,7 +227,7 @@ func TestLCG16EncoderDecoderAgree(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		enc.Uint16()
 	}
-	dec := NewLCG16(enc.State())
+	dec := NewLCG16(enc.state)
 	// Resynchronize: cloning the state means the *next* draws agree.
 	encNext := make([]uint16, 50)
 	decNext := make([]uint16, 50)

@@ -1,11 +1,10 @@
-// Dense Gaussian/Bernoulli baselines exist only for the paper's Fig. 2
-// comparison and run host-side; the mote never materializes them.
-//csecg:host dense baselines are host-side reference models
+// The dense Gaussian baseline exists only for the paper's Fig. 2
+// comparison and runs host-side; the mote never materializes it.
+//csecg:host the dense baseline is a host-side reference model
 
 package sensing
 
 import (
-	"fmt"
 	"math"
 
 	"csecg/internal/linalg"
@@ -31,69 +30,4 @@ func NewGaussian[T linalg.Float](m, n int, seed uint64) (*linalg.Dense[T], error
 		}
 	}
 	return mat, nil
-}
-
-// NewBernoulli returns the symmetric Bernoulli baseline with entries
-// ±1/√N, each sign with probability 1/2 (the second universal choice in
-// Section II-A).
-func NewBernoulli[T linalg.Float](m, n int, seed uint64) (*linalg.Dense[T], error) {
-	if err := validateShape(m, n, 1); err != nil {
-		return nil, err
-	}
-	gen := rng.New(seed)
-	v := T(1 / math.Sqrt(float64(n)))
-	mat := linalg.NewDense[T](m, n)
-	for i := 0; i < m; i++ {
-		row := mat.Row(i)
-		for j := range row {
-			row[j] = T(gen.Sign()) * v
-		}
-	}
-	return mat, nil
-}
-
-// IsometrySpread empirically probes the restricted-isometry behaviour of
-// the operator phi on s-sparse vectors: it draws trials random s-sparse
-// unit vectors (random support, Gaussian values), measures r = ‖Φx‖₂ and
-// returns (min r, max r). For a matrix that acts as a near-isometry on
-// sparse vectors both values are close to a common constant; a wide
-// spread predicts poor CS recovery. Note sparse binary matrices satisfy
-// RIP-1 rather than RIP-2, so their spread is wider than Gaussian at the
-// same M — the Fig. 2 experiment shows the recovery quality is
-// nevertheless equivalent.
-func IsometrySpread[T linalg.Float](phi linalg.Op[T], s, trials int, seed uint64) (lo, hi float64, err error) {
-	if s <= 0 || s > phi.InDim {
-		return 0, 0, fmt.Errorf("sensing: sparsity %d out of [1, %d]", s, phi.InDim)
-	}
-	if trials <= 0 {
-		trials = 50
-	}
-	gen := rng.New(seed)
-	x := make([]T, phi.InDim)
-	y := make([]T, phi.OutDim)
-	supp := make([]int, s)
-	lo = math.Inf(1)
-	for t := 0; t < trials; t++ {
-		for i := range x {
-			x[i] = 0
-		}
-		gen.SampleK(supp, s, phi.InDim)
-		for _, idx := range supp {
-			x[idx] = T(gen.NormFloat64())
-		}
-		nrm := linalg.Norm2(x)
-		if nrm == 0 {
-			continue
-		}
-		linalg.Scale(1/nrm, x)
-		phi.Apply(y, x)
-		r := float64(linalg.Norm2(y))
-		if r < lo {
-			lo = r
-		}
-		if r > hi {
-			hi = r
-		}
-	}
-	return lo, hi, nil
 }

@@ -16,12 +16,11 @@ func TestSparseBinaryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, n := s.Dims()
-	if m != 256 || n != 512 {
-		t.Errorf("Dims = %d×%d", m, n)
+	if s.m != 256 || s.n != 512 {
+		t.Errorf("shape = %d×%d", s.m, s.n)
 	}
-	if s.ColumnWeight() != 12 {
-		t.Errorf("ColumnWeight = %d", s.ColumnWeight())
+	if s.d != 12 {
+		t.Errorf("column weight = %d", s.d)
 	}
 	if math.Abs(s.Scale()-1/math.Sqrt(12)) > 1e-15 {
 		t.Errorf("Scale = %v", s.Scale())
@@ -168,25 +167,6 @@ func TestMeasureIntMatchesFloatOp(t *testing.T) {
 	}
 }
 
-func TestAddMeasureIntStreamingEquals(t *testing.T) {
-	s, _ := NewSparseBinary(128, 256, 12, 9)
-	xi := make([]int16, 256)
-	for i := range xi {
-		xi[i] = int16(3*i - 200)
-	}
-	batch := make([]int32, 128)
-	s.MeasureInt(batch, xi)
-	stream := make([]int32, 128)
-	for c, v := range xi {
-		s.AddMeasureInt(stream, c, v)
-	}
-	for r := range batch {
-		if batch[r] != stream[r] {
-			t.Fatalf("row %d: batch %d, stream %d", r, batch[r], stream[r])
-		}
-	}
-}
-
 func TestSparseOpAdjoint(t *testing.T) {
 	s, _ := NewSparseBinary(200, 400, 12, 17)
 	if mm := linalg.AdjointMismatch(Op[float64](s), 5); mm > 1e-10 {
@@ -250,29 +230,6 @@ func TestGaussianStats(t *testing.T) {
 	}
 	if math.Abs(variance-1.0/512) > 1e-4 {
 		t.Errorf("Gaussian variance %v, want %v", variance, 1.0/512)
-	}
-}
-
-func TestBernoulliValues(t *testing.T) {
-	m, err := NewBernoulli[float64](64, 128, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 / math.Sqrt(128)
-	pos := 0
-	for i := 0; i < 64; i++ {
-		for _, v := range m.Row(i) {
-			if math.Abs(math.Abs(v)-want) > 1e-15 {
-				t.Fatalf("entry %v, want ±%v", v, want)
-			}
-			if v > 0 {
-				pos++
-			}
-		}
-	}
-	frac := float64(pos) / float64(64*128)
-	if math.Abs(frac-0.5) > 0.02 {
-		t.Errorf("positive fraction %v, want ~0.5", frac)
 	}
 }
 
@@ -412,3 +369,80 @@ func benchPhi(b *testing.B, transpose bool) {
 
 func BenchmarkSensingApply(b *testing.B)  { benchPhi(b, false) }
 func BenchmarkSensingApplyT(b *testing.B) { benchPhi(b, true) }
+
+// IsometrySpread empirically probes the restricted-isometry behaviour of
+// the operator phi on s-sparse vectors: it draws trials random s-sparse
+// unit vectors (random support, Gaussian values), measures r = ‖Φx‖₂ and
+// returns (min r, max r). For a matrix that acts as a near-isometry on
+// sparse vectors both values are close to a common constant; a wide
+// spread predicts poor CS recovery. Note sparse binary matrices satisfy
+// RIP-1 rather than RIP-2, so their spread is wider than Gaussian at the
+// same M — the Fig. 2 experiment shows the recovery quality is
+// nevertheless equivalent.
+func IsometrySpread[T linalg.Float](phi linalg.Op[T], s, trials int, seed uint64) (lo, hi float64, err error) {
+	if s <= 0 || s > phi.InDim {
+		return 0, 0, fmt.Errorf("sensing: sparsity %d out of [1, %d]", s, phi.InDim)
+	}
+	if trials <= 0 {
+		trials = 50
+	}
+	gen := rng.New(seed)
+	x := make([]T, phi.InDim)
+	y := make([]T, phi.OutDim)
+	supp := make([]int, s)
+	lo = math.Inf(1)
+	for t := 0; t < trials; t++ {
+		for i := range x {
+			x[i] = 0
+		}
+		gen.SampleK(supp, s, phi.InDim)
+		for _, idx := range supp {
+			x[idx] = T(gen.NormFloat64())
+		}
+		nrm := linalg.Norm2(x)
+		if nrm == 0 {
+			continue
+		}
+		linalg.Scale(1/nrm, x)
+		phi.Apply(y, x)
+		r := float64(linalg.Norm2(y))
+		if r < lo {
+			lo = r
+		}
+		if r > hi {
+			hi = r
+		}
+	}
+	return lo, hi, nil
+}
+
+// MaxColumnCoherence returns the largest normalized inner product between
+// two distinct columns, the incoherence diagnostic that guided the
+// random support choice. Columns of a sparse binary matrix have unit
+// norm, so the inner product is |supp_i ∩ supp_j| / d.
+func (s *SparseBinary) MaxColumnCoherence() float64 {
+	// Build row → columns lists once; then count pairwise overlaps via
+	// shared rows. O(nnz · avg row degree).
+	rowCols := make([][]int32, s.m)
+	for c := 0; c < s.n; c++ {
+		for _, r := range s.Support(c) {
+			rowCols[r] = append(rowCols[r], int32(c))
+		}
+	}
+	overlap := make(map[uint64]int)
+	for _, cols := range rowCols {
+		for i := 0; i < len(cols); i++ {
+			for j := i + 1; j < len(cols); j++ {
+				key := uint64(cols[i])<<32 | uint64(cols[j])
+				overlap[key]++
+			}
+		}
+	}
+	best := 0
+	for _, v := range overlap {
+		if v > best {
+			best = v
+		}
+	}
+	return float64(best) / float64(s.d)
+}

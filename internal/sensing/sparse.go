@@ -1,7 +1,7 @@
 // Package sensing implements the measurement matrices of the CS encoder:
 // the paper's sparse binary sensing matrix (the innovation that makes the
-// encoder real-time on the MSP430) and the dense Gaussian and Bernoulli
-// baselines it is benchmarked against in Fig. 2.
+// encoder real-time on the MSP430) and the dense Gaussian
+// baseline it is benchmarked against in Fig. 2.
 //
 // A sparse binary Φ ∈ R^{M×N} has exactly d nonzero entries per column,
 // all equal to 1/√d, at pseudo-random row positions. Measuring therefore
@@ -83,12 +83,6 @@ func validateShape(m, n, d int) error {
 	return nil
 }
 
-// Dims returns (M, N).
-func (s *SparseBinary) Dims() (m, n int) { return s.m, s.n }
-
-// ColumnWeight returns d.
-func (s *SparseBinary) ColumnWeight() int { return s.d }
-
 // Scale returns the nonzero value 1/√d.
 func (s *SparseBinary) Scale() float64 { return s.scale }
 
@@ -119,21 +113,6 @@ func (s *SparseBinary) MeasureInt(dst []int32, x []int16) {
 		for _, r := range s.Support(c) {
 			dst[r] += v //csecg:rangeok each row accumulates ≤ d·1024 = 12288 with |x| ≤ 1024 after core's ADC clamp, ≪ 2³¹; a saturating add here would slow the N·d hot loop for a case the clamp excludes
 		}
-	}
-}
-
-// AddMeasureInt is the streaming form of MeasureInt: it accumulates the
-// contribution of a single sample x[c] into dst, letting the mote update
-// measurements as each ADC sample arrives instead of buffering a window.
-//
-//csecg:hotpath d integer adds per ADC sample, interrupt context
-func (s *SparseBinary) AddMeasureInt(dst []int32, c int, x int16) {
-	if len(dst) != s.m {
-		panic("sensing: AddMeasureInt dimension mismatch")
-	}
-	v := int32(x)
-	for _, r := range s.Support(c) {
-		dst[r] += v //csecg:rangeok same bound as MeasureInt: ≤ d·1024 per row after core's ADC clamp
 	}
 }
 
@@ -253,37 +232,3 @@ func (k *phiGathers) apply(dst, x []float32) { k.rows.SumScaled(dst, x, k.scale)
 
 //csecg:host float32 decoder kernel
 func (k *phiGathers) applyT(dst, y []float32) { k.cols.Sum(dst, y, k.scale) }
-
-// MaxColumnCoherence returns the largest normalized inner product between
-// two distinct columns, the incoherence diagnostic that guided the
-// random support choice. Columns of a sparse binary matrix have unit
-// norm, so the inner product is |supp_i ∩ supp_j| / d.
-//
-//csecg:host offline incoherence diagnostic, not part of the mote path
-func (s *SparseBinary) MaxColumnCoherence() float64 {
-	// Build row → columns lists once; then count pairwise overlaps via
-	// shared rows. O(nnz · avg row degree).
-	rowCols := make([][]int32, s.m)
-	for c := 0; c < s.n; c++ {
-		for _, r := range s.Support(c) {
-			rowCols[r] = append(rowCols[r], int32(c))
-		}
-	}
-	overlap := make(map[uint64]int)
-	for _, cols := range rowCols {
-		for i := 0; i < len(cols); i++ {
-			for j := i + 1; j < len(cols); j++ {
-				key := uint64(cols[i])<<32 | uint64(cols[j])
-				overlap[key]++
-			}
-		}
-	}
-	best := 0
-	//csecg:orderok max over all values, independent of iteration order
-	for _, v := range overlap {
-		if v > best {
-			best = v
-		}
-	}
-	return float64(best) / float64(s.d)
-}

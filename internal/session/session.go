@@ -49,17 +49,15 @@ type Faults struct {
 // Config describes one session. Link must be a complete link
 // configuration; the remaining fields follow csecg.StreamConfig.
 type Config struct {
-	Params         core.Params
-	Mode           coordinator.Mode
-	Link           link.Config
-	ControlLink    *link.Config
-	Transport      coordinator.TransportConfig
-	RetransmitRing int
-	Metrics        *telemetry.Registry
-	Spans          *telemetry.CausalTracer
-	Clock          telemetry.Clock
-	Observer       monitor.Observer
-	Recorder       *blackbox.Recorder
+	Params    core.Params
+	Mode      coordinator.Mode
+	Link      link.Config
+	Transport coordinator.TransportConfig
+	Metrics   *telemetry.Registry
+	Spans     *telemetry.CausalTracer
+	Clock     telemetry.Clock
+	Observer  monitor.Observer
+	Recorder  *blackbox.Recorder
 	Faults
 
 	// Slots is the session length in window periods.
@@ -191,19 +189,13 @@ func Run(cfg Config) (*Report, error) {
 	}
 	var ctrl *link.Link
 	if cfg.Transport.NACK {
-		ring := cfg.RetransmitRing
-		if ring == 0 {
-			ring = mote.DefaultRetransmitRing
-		}
-		if err := m.EnableRetransmitBuffer(ring); err != nil {
+		if err := m.EnableRetransmitBuffer(mote.DefaultRetransmitRing); err != nil {
 			return nil, err
 		}
+		// The uplink carries control packets over the same channel, with
+		// its fault stream decorrelated from the downlink's.
 		ctrlCfg := cfg.Link
-		// Decorrelate the uplink's fault stream from the downlink's.
 		ctrlCfg.Seed = cfg.Link.Seed ^ 0x9E3779B97F4A7C15
-		if cfg.ControlLink != nil {
-			ctrlCfg = *cfg.ControlLink
-		}
 		if ctrl, err = link.New(ctrlCfg); err != nil {
 			return nil, err
 		}
@@ -322,9 +314,6 @@ func Run(cfg Config) (*Report, error) {
 				closer.Close(wt, d, start)
 			}
 			sumEst += d.EstPRDN
-			if d.Bad {
-				rep.BadWindows++
-			}
 			if d.Res.Degraded {
 				rep.DegradedWindows++
 			}
@@ -595,6 +584,7 @@ func Run(cfg Config) (*Report, error) {
 
 	rep.Transport = rx.Stats()
 	rep.Decoded = rep.Transport.Decoded
+	rep.BadWindows = rep.Transport.BadWindows
 	rep.CRCRejected = rep.Transport.Rejected
 	rep.Shed = rep.Transport.Shed
 	rep.FinalRung = dec.Rung()

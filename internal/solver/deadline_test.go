@@ -118,28 +118,6 @@ func TestContinuationClampsPerStage(t *testing.T) {
 	}
 }
 
-// TestSolveDispatch covers the Algorithm-name front door the
-// degradation ladder uses.
-func TestSolveDispatch(t *testing.T) {
-	op, y, _ := sparseProblem(96, 192, 6, 15)
-	opt := Options[float64]{MaxIter: 80, Tol: -1, Lambda: 1e-3}
-	for _, algo := range []Algorithm{AlgoFISTA, AlgoGPSR} {
-		res, err := Solve(algo, op, y, opt, 1)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if len(res.X) != 192 || res.Iterations == 0 {
-			t.Errorf("%v: degenerate result (len %d, iters %d)", algo, len(res.X), res.Iterations)
-		}
-	}
-	if _, err := Solve(Algorithm(99), op, y, opt, 1); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if AlgoFISTA.String() != "fista" || AlgoGPSR.String() != "gpsr" {
-		t.Fatal("algorithm names drifted: telemetry labels depend on them")
-	}
-}
-
 // TestContinuationAppliesAdjointOnceForDefaultLambda is the regression
 // test for a redundant operator apply: with Lambda 0 the default λ and
 // the continuation's λ₀ both come from Aᵀy, which must be computed once.

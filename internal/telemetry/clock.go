@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Clock supplies monotonic integer timestamps in nanosecond ticks. All
 // telemetry timing goes through a Clock so tests can inject a manual
@@ -24,24 +21,15 @@ func (WallClock) Now() int64 {
 	return time.Now().UnixNano() //csecg:nondet instrumentation clock, injectable via the Clock interface
 }
 
-// ManualClock is a settable test clock. The zero value starts at tick 0;
-// it is safe for concurrent use.
+// ManualClock is a Clock that stays at the tick it was built with, so
+// every duration read through it is zero and deterministic: replays and
+// tests inject it. The zero value reads tick 0.
 type ManualClock struct {
-	ticks atomic.Int64
+	ticks int64
 }
 
-// NewManualClock returns a manual clock starting at the given tick.
-func NewManualClock(start int64) *ManualClock {
-	c := &ManualClock{}
-	c.ticks.Store(start)
-	return c
-}
+// NewManualClock returns a manual clock fixed at the given tick.
+func NewManualClock(start int64) *ManualClock { return &ManualClock{ticks: start} }
 
-// Now returns the current manual tick.
-func (c *ManualClock) Now() int64 { return c.ticks.Load() }
-
-// Set jumps the clock to the given tick.
-func (c *ManualClock) Set(t int64) { c.ticks.Store(t) }
-
-// Advance moves the clock forward by d ticks and returns the new time.
-func (c *ManualClock) Advance(d int64) int64 { return c.ticks.Add(d) }
+// Now returns the clock's tick.
+func (c *ManualClock) Now() int64 { return c.ticks }

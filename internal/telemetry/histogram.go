@@ -83,59 +83,6 @@ func (h *Histogram) Bucket(b int) int64 {
 	return h.buckets[b].Load()
 }
 
-// Mean returns the arithmetic mean of the observations (0 if empty).
-//
-//csecg:host percentile/mean math runs on the host at export time
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the containing log bucket, clamped to the observed maximum.
-//
-//csecg:host percentile/mean math runs on the host at export time
-func (h *Histogram) Quantile(q float64) int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the target observation, 1-based.
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for b := 0; b < NumBuckets; b++ {
-		c := h.buckets[b].Load()
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			lo, hi := BucketLow(b), BucketHigh(b)
-			if m := h.max.Load(); hi > m {
-				hi = m // the tail bucket cannot exceed the observed max
-			}
-			if hi < lo {
-				hi = lo
-			}
-			frac := float64(rank-cum) / float64(c)
-			return lo + int64(frac*float64(hi-lo))
-		}
-		cum += c
-	}
-	return h.max.Load()
-}
-
 // Quantiles estimates several quantiles in one pass over the buckets.
 // qs must be sorted ascending in [0, 1]; the result aligns with qs.
 // Each estimate interpolates linearly inside the containing log2

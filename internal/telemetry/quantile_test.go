@@ -50,12 +50,6 @@ func TestQuantilesErrorBound(t *testing.T) {
 	if got := est[len(est)-1]; got != h.Max() {
 		t.Errorf("q=1 estimate %d, want observed max %d", got, h.Max())
 	}
-	// The batch helper must agree with the one-shot Quantile.
-	for i, q := range qs {
-		if single := h.Quantile(q); single != est[i] {
-			t.Errorf("q=%.2f: Quantiles=%d disagrees with Quantile=%d", q, est[i], single)
-		}
-	}
 }
 
 // TestQuantilesEmpty covers the zero-observation path.

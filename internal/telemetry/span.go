@@ -349,18 +349,6 @@ func (w *WindowTrace) FrontierNs() int64 { return w.frontier }
 // reused).
 func (w *WindowTrace) Spans() []Span { return w.spans[:w.nspans] }
 
-// LeafSumNs sums the depth-1 tiling leaves (rung-change markers are
-// zero-duration and cost nothing).
-func (w *WindowTrace) LeafSumNs() int64 {
-	var sum int64
-	for i := 1; i < w.nspans; i++ {
-		if w.spans[i].Parent == 0 {
-			sum += w.spans[i].DurNs
-		}
-	}
-	return sum
-}
-
 // exemplar is the latest trace exemplar of one histogram bucket. The
 // pair is written with two independent atomics — a torn read across a
 // concurrent scrape can mix two exemplars of the same bucket, which is
@@ -406,7 +394,6 @@ type CausalTracer struct {
 	topk          []WindowTrace
 	topkN         int
 	retainAll     bool
-	finished      int64
 
 	stageNames []string
 	stageIdx   map[string]int
@@ -520,7 +507,6 @@ func (c *CausalTracer) Finish(w *WindowTrace, rung int, latencyNs int64) {
 		e.trace.Store(w.TraceID)
 		e.valNs.Store(s.DurNs)
 	}
-	c.finished++
 	w.used = false
 	if c.retainAll || w.Flags != 0 {
 		c.retain(w)
@@ -570,9 +556,6 @@ func (c *CausalTracer) offerTopK(w *WindowTrace) {
 		c.topk[min] = *w
 	}
 }
-
-// Finished counts closed traces (retained or not).
-func (c *CausalTracer) Finished() int64 { return c.finished }
 
 // RetainDropped counts trees lost to the retention cap.
 func (c *CausalTracer) RetainDropped() int64 { return c.retainDropped }

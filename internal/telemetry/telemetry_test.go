@@ -85,19 +85,17 @@ func TestHistogramQuantiles(t *testing.T) {
 	for v := int64(1); v <= 100; v++ {
 		h.Observe(v)
 	}
-	if h.Mean() != 50.5 {
-		t.Errorf("mean %v, want 50.5", h.Mean())
-	}
 	// Log buckets guarantee ≤ 2× relative error; the tail is clamped to
 	// the exact observed max.
-	if q := h.Quantile(0.5); q < 25 || q > 100 {
-		t.Errorf("p50 = %d, want within 2× of 50", q)
+	q := h.Quantiles(0, 0.5, 1)
+	if q[0] < 1 || q[0] > 2 {
+		t.Errorf("p0 = %d, want ≈1", q[0])
 	}
-	if q := h.Quantile(1); q != 100 {
-		t.Errorf("p100 = %d, want the observed max 100", q)
+	if q[1] < 25 || q[1] > 100 {
+		t.Errorf("p50 = %d, want within 2× of 50", q[1])
 	}
-	if q := h.Quantile(0); q < 1 || q > 2 {
-		t.Errorf("p0 = %d, want ≈1", q)
+	if q[2] != 100 {
+		t.Errorf("p100 = %d, want the observed max 100", q[2])
 	}
 	s := h.Summarize()
 	if s.Count != 100 || s.Sum != 5050 || s.Max != 100 {
@@ -110,7 +108,7 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.Quantiles(0.5)[0] != 0 || h.Max() != 0 {
 		t.Error("empty histogram must read zero")
 	}
 }
@@ -189,12 +187,5 @@ func TestManualClock(t *testing.T) {
 	c := NewManualClock(100)
 	if c.Now() != 100 {
 		t.Errorf("start %d, want 100", c.Now())
-	}
-	if c.Advance(50) != 150 || c.Now() != 150 {
-		t.Error("advance wrong")
-	}
-	c.Set(7)
-	if c.Now() != 7 {
-		t.Error("set wrong")
 	}
 }

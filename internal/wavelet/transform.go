@@ -134,80 +134,3 @@ func (t *Transform[T]) SynthesisOp() linalg.Op[T] {
 		ApplyT: func(dst, y []T) { t.Forward(dst, y) },
 	}
 }
-
-// LargestK zeroes all but the k largest-magnitude entries of coeffs in
-// place, the hard-thresholding used to measure how wavelet-sparse a
-// signal is (the S-sparse approximation of Section II-A).
-func LargestK[T linalg.Float](coeffs []T, k int) {
-	if k >= len(coeffs) {
-		return
-	}
-	if k <= 0 {
-		for i := range coeffs {
-			coeffs[i] = 0
-		}
-		return
-	}
-	abs := func(v T) T {
-		if v < 0 {
-			return -v
-		}
-		return v
-	}
-	mags := make([]T, len(coeffs))
-	for i, v := range coeffs {
-		mags[i] = abs(v)
-	}
-	thresh := quickSelect(mags, len(mags)-k) // k-th largest magnitude
-	above := 0
-	for _, v := range coeffs {
-		if abs(v) > thresh {
-			above++
-		}
-	}
-	allowTies := k - above // entries equal to thresh that may survive
-	for i, v := range coeffs {
-		switch m := abs(v); {
-		case m > thresh:
-			// keep
-		case m == thresh && allowTies > 0:
-			allowTies--
-		default:
-			coeffs[i] = 0
-		}
-	}
-}
-
-// quickSelect returns the element of rank idx (0-based ascending) of a,
-// destroying a's order.
-func quickSelect[T linalg.Float](a []T, idx int) T {
-	lo, hi := 0, len(a)-1
-	for {
-		if lo == hi {
-			return a[lo]
-		}
-		pivot := a[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case idx <= j:
-			hi = j
-		case idx >= i:
-			lo = i
-		default:
-			return a[idx]
-		}
-	}
-}

@@ -27,22 +27,15 @@ type StreamConfig struct {
 	// A nonzero ClockDriftPPM makes the mote's clock run fast: once the
 	// accumulated skew crosses a window period, the mote encodes an
 	// extra window within that slot, so the record is consumed sooner
-	// (LinkStats.DriftSkew reports the skew).
+	// (the report's LinkStats.DriftSkew carries the skew).
 	Link LinkConfig
 	// Transport configures the coordinator's fault-tolerant receive
 	// path. The zero value reproduces the paper's baseline: losses are
 	// ridden out until the next scheduled key frame. Setting
-	// Transport.NACK enables the control channel and the mote's bounded
-	// retransmit ring.
+	// Transport.NACK enables the control channel, an uplink with the
+	// data link's configuration and a decorrelated fault seed, and the
+	// mote's retransmit ring of mote.DefaultRetransmitRing packets.
 	Transport TransportConfig
-	// ControlLink configures the uplink carrying NACK/key-request
-	// control packets (nil → the data-link config with a derived fault
-	// seed, so control traffic sees the same channel quality).
-	ControlLink *LinkConfig
-	// RetransmitRing overrides the mote's retransmit ring size when the
-	// NACK protocol is enabled (0 → mote.DefaultRetransmitRing; must
-	// fit the MSP430's 10 kB RAM).
-	RetransmitRing int
 	// Metrics, when non-nil, attaches every pipeline component to the
 	// registry: mote/link/transport/coordinator counters and histograms
 	// plus the stream-level decode-latency series. It may be shared by
@@ -52,15 +45,16 @@ type StreamConfig struct {
 	// Spans, when non-nil, captures every window's hierarchical causal
 	// span tree on the modeled timeline: trace-ID-stamped spans from
 	// acquisition end through encode, transmit, per-retransmit attempts,
-	// link transit, reorder/queue wait, the solver rung (with
-	// continuation sub-stages) and reconstruction — depth-1 leaves tile
-	// the end-to-end decode latency exactly. The tracer tail-samples
-	// anomalous windows, feeds the csecg_window_stage_seconds exemplar
-	// histograms, and seeds the receiver/flight recorder with the same
-	// trace IDs (DESIGN.md §14). A RetainAll tracer also turns on the
-	// solver's per-iteration trace and keeps up to
-	// telemetry.MaxIterPoints downsampled iterations per window — the
-	// Chrome trace's counter tracks (telemetry.WriteChromeTrace).
+	// link transit, the reassemble wait (arrival to decode start), the
+	// solver rung (with continuation sub-stages) and reconstruction —
+	// depth-1 leaves tile the end-to-end decode latency exactly. The
+	// tracer tail-samples anomalous windows, feeds the
+	// csecg_window_stage_seconds exemplar histograms, and seeds the
+	// receiver/flight recorder with the same trace IDs (DESIGN.md §14).
+	// A RetainAll tracer also turns on the solver's per-iteration trace
+	// and keeps up to telemetry.MaxIterPoints downsampled iterations per
+	// window — the Chrome trace's counter tracks
+	// (telemetry.WriteChromeTrace).
 	Spans *telemetry.CausalTracer
 	// Clock times the host-side solve for the wall-time histogram
 	// (nil → telemetry.WallClock; inject a ManualClock in tests).
@@ -108,18 +102,16 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	// reaches its end before the last slot.
 	next := 0
 	return session.Run(session.Config{
-		Params:         cfg.Params,
-		Mode:           cfg.Mode,
-		Link:           cfg.Link,
-		ControlLink:    cfg.ControlLink,
-		Transport:      cfg.Transport,
-		RetransmitRing: cfg.RetransmitRing,
-		Metrics:        cfg.Metrics,
-		Spans:          cfg.Spans,
-		Clock:          cfg.Clock,
-		Observer:       cfg.Observer,
-		Recorder:       cfg.Recorder,
-		Slots:          len(samples) / n,
+		Params:    cfg.Params,
+		Mode:      cfg.Mode,
+		Link:      cfg.Link,
+		Transport: cfg.Transport,
+		Metrics:   cfg.Metrics,
+		Spans:     cfg.Spans,
+		Clock:     cfg.Clock,
+		Observer:  cfg.Observer,
+		Recorder:  cfg.Recorder,
+		Slots:     len(samples) / n,
 		Window: func(int) []int16 {
 			if next+n > len(samples) {
 				return nil

@@ -49,7 +49,12 @@ func TestStreamSpansTileLatency(t *testing.T) {
 		if w.LatencyNs <= 0 {
 			t.Fatalf("trace %s (seq %d) has latency %d", telemetry.TraceIDString(w.TraceID), w.Seq, w.LatencyNs)
 		}
-		sum := w.LeafSumNs()
+		var sum int64 // the depth-1 tiling leaves
+		for _, sp := range w.Spans()[1:] {
+			if sp.Parent == 0 {
+				sum += sp.DurNs
+			}
+		}
 		gap := sum - w.LatencyNs
 		if gap < 0 {
 			gap = -gap

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"csecg/internal/telemetry"
 )
 
 // lossyNACKConfig is a burst-lossy NACK session: retransmit waits,
@@ -73,7 +75,7 @@ func renderLossyTrace() (*StreamReport, []SpanTraceRecord, []chromeEvent, error)
 	cfg := lossyNACKConfig()
 	cfg.Spans = spans
 	cfg.Metrics = NewMetrics()
-	cfg.Clock = NewManualClock(0)
+	cfg.Clock = telemetry.NewManualClock(0)
 	rep, err := RunStream(cfg)
 	if err != nil {
 		return nil, nil, nil, err
