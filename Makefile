@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPacketStream -fuzztime=10s -run=FuzzPacketStream ./internal/core
 	$(GO) test -fuzz=FuzzUnmarshalPacket -fuzztime=10s -run=FuzzUnmarshalPacket ./internal/core
 	$(GO) test -fuzz=FuzzParseBundle -fuzztime=10s -run=FuzzParseBundle ./internal/blackbox
+	$(GO) test -fuzz=FuzzFISTAStepDecisions -fuzztime=10s -run=FuzzFISTAStepDecisions ./internal/solver
 
 # replay-smoke closes the incident-forensics loop end to end: run the
 # chaos matrix with the flight recorder sealing diagnostics bundles,

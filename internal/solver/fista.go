@@ -120,6 +120,9 @@ type Workspace[T linalg.Float] struct {
 	a                               linalg.Op[T]
 	alpha, alphaPrev, yk, grad, aty []T // length N
 	r                               []T // length M
+	// ordered counts the update passes of the workspace's solves that
+	// took the ordered fallback for a decision (fistaStepAVX2).
+	ordered int
 }
 
 // NewWorkspace allocates a workspace for solves over the operator a.
@@ -192,9 +195,12 @@ func (w *Workspace[T]) fista(y []T, opt Options[T]) (Result[T], error) {
 		beta := (tk - 1) / tNext
 		// α_k = prox_{λ/L}(y_k − (1/L)∇f(y_k)), Eq. (4), and
 		// y_{k+1} = α_k + β(α_k − α_{k−1}), Eq. (6), in one pass.
-		p := fistaStepFused(alpha, alphaPrev, yk, grad, step, thr, beta, opt.Tol >= 0)
+		p := fistaStepFused(alpha, alphaPrev, yk, grad, step, thr, beta, opt.Tol)
+		if p.RestartOrdered || p.StopOrdered {
+			w.ordered++
+		}
 		tk = tNext
-		if p.Restart > 0 {
+		if p.Restart {
 			// Gradient-scheme adaptive restart (O'Donoghue & Candès
 			// 2015): the momentum step went uphill, so drop it.
 			tk = 1
@@ -208,7 +214,7 @@ func (w *Workspace[T]) fista(y []T, opt Options[T]) (Result[T], error) {
 				Step:      float64(stepNorm(alpha, alphaPrev)),
 			})
 		}
-		if stopped(p.Norm, p.Step, opt.Tol) {
+		if p.Stop {
 			res.Converged = true
 			copy(alphaPrev, alpha)
 			break

@@ -1,11 +1,16 @@
 package solver
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
+	"csecg/internal/ecg"
 	"csecg/internal/linalg"
 	"csecg/internal/rng"
+	"csecg/internal/sensing"
+	"csecg/internal/wavelet"
 )
 
 // bits returns the IEEE-754 encoding of v, so comparisons tell −0 from
@@ -42,10 +47,11 @@ func stepInputs[T linalg.Float](n int, seed uint64, thr T) (alphaPrev, yk, half 
 }
 
 // fistaStep is the plain-loop reference for fistaStepFused: the same
-// maths in separate loops with the branchy soft threshold. The step
-// point u = y_k − ∇f/L lands in half, so y_k survives the shrinkage for
-// the restart product and is overwritten by y_{k+1} only afterwards.
-func fistaStep[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T] {
+// maths in separate loops with the branchy soft threshold, and the
+// stopping rule on linalg.Norm2 and linalg.DistNorm2. The step point
+// u = y_k − ∇f/L lands in half, so y_k survives the shrinkage for the
+// restart product and is overwritten by y_{k+1} only afterwards.
+func fistaStep[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T, tol float64) fistaPass {
 	for i, h := range half {
 		half[i] = yk[i] - step*(h+h)
 	}
@@ -56,50 +62,86 @@ func fistaStep[T linalg.Float](alpha, alphaPrev, yk, half []T, step, thr, beta T
 		ip += (yk[i] - a) * d
 		yk[i] = a + beta*d
 	}
-	pass := fistaPass[T]{Restart: ip}
-	if norms {
-		pass.Norm, pass.Step = linalg.Norm2(alpha), linalg.DistNorm2(alpha, alphaPrev)
-	}
-	return pass
+	return fistaPass{Restart: ip > 0, Stop: tol >= 0 && stopRatio(alpha, alphaPrev) < tol}
 }
 
-// checkStepNorms runs the fused pass and the plain-loop reference on
-// one input and checks that their stopping values are linalg.Norm2(α_k)
-// and linalg.DistNorm2(α_k, α_{k−1}) bit for bit, and that the two
-// agree.
-func checkStepNorms[T linalg.Float](t *testing.T, n int, thr T) {
+// stopRatio is the quotient the stopping rule compares with tol,
+// ‖α_k − α_{k−1}‖₂ / max(1, ‖α_k‖₂), on the norms the rule is defined
+// by, as stopped computes it.
+func stopRatio[T linalg.Float](alpha, alphaPrev []T) float64 {
+	den := float64(linalg.Norm2(alpha))
+	if den < 1 {
+		den = 1
+	}
+	return float64(linalg.DistNorm2(alpha, alphaPrev)) / den
+}
+
+// ulpsFrom returns r moved k float64 ulps up (k > 0) or down.
+func ulpsFrom(r float64, k int) float64 {
+	for ; k > 0; k-- {
+		r = math.Nextafter(r, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		r = math.Nextafter(r, math.Inf(-1))
+	}
+	return r
+}
+
+// nearRatio is the tolerances at and around the stopping ratio r that a
+// decision test tries: exactly r (the rule does not stop) and one and
+// two ulps either side. At every one of them but the outer two the
+// interval the AVX2 pass bounds its decision with contains tol, so it
+// must take the ordered fallback.
+func nearRatio(r float64) []float64 {
+	return []float64{ulpsFrom(r, -2), ulpsFrom(r, -1), r, ulpsFrom(r, 1), ulpsFrom(r, 2)}
+}
+
+// checkStepDecisions runs the fused pass and the plain-loop reference on
+// one input at tolerances around the reference stopping ratio and
+// requires the reference's decisions: the stopping rule decided on
+// linalg.Norm2 and linalg.DistNorm2, whatever path computed the norms.
+// On the AVX2 path, tol within one ulp of the ratio must take the
+// ordered fallback unless the step is exactly zero.
+func checkStepDecisions[T linalg.Float](t *testing.T, n int, thr T) {
 	t.Helper()
-	alphaPrev, yk, half := stepInputs(n, uint64(n)+7, thr)
-	yk2, half2 := append([]T(nil), yk...), append([]T(nil), half...)
-	alpha, alpha2 := make([]T, n), make([]T, n)
+	alphaPrev, yk0, half0 := stepInputs(n, uint64(n)+7, thr)
 	const step, beta = 0.75, 0.6
-	p := fistaStepFused(alpha, alphaPrev, yk, half, step, thr, beta, true)
-	if got, want := p.Norm, linalg.Norm2(alpha); bits(got) != bits(want) {
-		t.Errorf("%T n=%d thr=%v: fused ‖α‖ = %v, Norm2 = %v", thr, n, thr, got, want)
-	}
-	if got, want := p.Step, linalg.DistNorm2(alpha, alphaPrev); bits(got) != bits(want) {
-		t.Errorf("%T n=%d thr=%v: fused ‖α−α_prev‖ = %v, DistNorm2 = %v", thr, n, thr, got, want)
-	}
-	q := fistaStep(alpha2, alphaPrev, yk2, half2, step, thr, beta, true)
-	if bits(q.Norm) != bits(p.Norm) || bits(q.Step) != bits(p.Step) || q.Restart != p.Restart {
-		t.Errorf("%T n=%d thr=%v: scalar pass %+v, fused %+v", thr, n, thr, q, p)
-	}
-	for i := range alpha {
-		if alpha[i] != alpha2[i] || yk[i] != yk2[i] {
-			t.Fatalf("%T n=%d thr=%v i=%d: scalar (α %v, y %v), fused (α %v, y %v)", thr, n, thr, i, alpha2[i], yk2[i], alpha[i], yk[i])
+	alphaRef := make([]T, n)
+	fistaStep(alphaRef, alphaPrev, append([]T(nil), yk0...), append([]T(nil), half0...), step, thr, beta, -1)
+	r := stopRatio(alphaRef, alphaPrev)
+	_, f32 := any(thr).(float32)
+	kernel := f32 && linalg.HasAVX2()
+	for i, tol := range append(nearRatio(r), -1, 0, 1e-4, 0.5) {
+		yk, half, alpha := append([]T(nil), yk0...), append([]T(nil), half0...), make([]T, n)
+		yk2, half2, alpha2 := append([]T(nil), yk0...), append([]T(nil), half0...), make([]T, n)
+		p := fistaStepFused(alpha, alphaPrev, yk, half, step, thr, beta, tol)
+		q := fistaStep(alpha2, alphaPrev, yk2, half2, step, thr, beta, tol)
+		if p.Restart != q.Restart || p.Stop != q.Stop {
+			t.Errorf("%T n=%d thr=%v tol=%v (ratio %v): fused pass %+v, reference %+v", thr, n, thr, tol, r, p, q)
+		}
+		if kernel && i >= 1 && i <= 3 && linalg.DistNorm2(alphaRef, alphaPrev) != 0 && !p.StopOrdered {
+			t.Errorf("%T n=%d thr=%v tol=%v: stop decided from lane sums at one ulp from the ratio %v", thr, n, thr, tol, r)
+		}
+		for i := range alpha {
+			if alpha[i] != alpha2[i] || yk[i] != yk2[i] {
+				t.Fatalf("%T n=%d thr=%v i=%d: reference (α %v, y %v), fused (α %v, y %v)", thr, n, thr, i, alpha2[i], yk2[i], alpha[i], yk[i])
+			}
 		}
 	}
 }
 
-// TestFISTAStepNormsMatchKernels pins the fused pass's stopping values
-// to the kernels the stopping rule is defined by, over empty, short and
-// window-sized lengths. The large threshold shrinks α_k and α_{k−1} to ±0
-// everywhere, so both norms take the zero-max path.
+// TestFISTAStepNormsMatchKernels pins the fused pass's decisions to the
+// kernels the stopping rule is defined by, over empty, short and
+// window-sized lengths and the solver's tolerances. tol at the exact
+// stopping ratio and one or two ulps either side tells apart any
+// change of either norm's last bit that moves the ratio. The large
+// threshold shrinks α_k and α_{k−1} to ±0 everywhere, so both norms
+// take the zero-max path.
 func TestFISTAStepNormsMatchKernels(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 7, 64, 511, 512} {
 		for _, thr := range []float64{0.5, 100} {
-			checkStepNorms(t, n, thr)
-			checkStepNorms(t, n, float32(thr))
+			checkStepDecisions(t, n, thr)
+			checkStepDecisions(t, n, float32(thr))
 		}
 	}
 }
@@ -199,15 +241,61 @@ func sameBits(x, want float32) bool {
 	return bits(x) == bits(want)
 }
 
+// pickTol returns the stopping tolerance of a trial: mostly the exact
+// stopping ratio r or up to two ulps from it, else disabled, zero, the
+// decoder's tolerance or a random one.
+func pickTol(g *rng.Xoshiro, r float64) float64 {
+	switch k := g.Intn(9); {
+	case k < 5:
+		return ulpsFrom(r, k-2)
+	case k == 5:
+		return -1
+	case k == 6:
+		return 0
+	case k == 7:
+		return 3e-5
+	}
+	return g.Float64()
+}
+
+// checkAVX2Pass runs the AVX2 pass and the Go loop on one input at tol
+// and requires the same α_k and y_{k+1} bits and the same decisions.
+// It returns the AVX2 pass.
+func checkAVX2Pass(t *testing.T, what string, alphaPrev, yk, half []float32, step, thr, beta float32, tol float64) fistaPass {
+	t.Helper()
+	n := len(yk)
+	alpha, yk2, half2 := guarded(make([]float32, n)), guarded(yk), guarded(half)
+	got := fistaStepAVX2(alpha, alphaPrev, yk2, half2, step, thr, beta, tol)
+	alphaRef, ykRef := make([]float32, n), append([]float32(nil), yk...)
+	want := fistaStepLoop(alphaRef, alphaPrev, ykRef, append([]float32(nil), half...), step, thr, beta, tol)
+	if got.Restart != want.Restart || got.Stop != want.Stop {
+		t.Fatalf("%s tol=%v: AVX2 pass %+v, Go loop %+v", what, tol, got, want)
+	}
+	for i := range alpha {
+		if !sameBits(alpha[i], alphaRef[i]) || !sameBits(yk2[i], ykRef[i]) {
+			t.Fatalf("%s i=%d: AVX2 pass (α %#x, y %#x), Go loop (α %#x, y %#x)", what, i,
+				bits(alpha[i]), bits(yk2[i]), bits(alphaRef[i]), bits(ykRef[i]))
+		}
+	}
+	if !guardIntact(alpha) || !guardIntact(yk2) || !guardIntact(half2) {
+		t.Fatalf("%s: the AVX2 pass wrote past the end of its vectors", what)
+	}
+	return got
+}
+
 // TestFISTAStepAVX2BitIdentical runs the AVX2 pass and the Go loop on
-// the same edge-heavy inputs and requires every output bit to agree:
-// α_k, y_{k+1}, the restart product and both norms, NaN payloads and
-// signed zeros included. The lengths cover passes shorter than one
-// 8-lane block, every partial-block length after a full block, and
-// partial blocks around the window size; the thresholds include 0,
+// the same edge-heavy inputs and requires every output bit of α_k and
+// y_{k+1} to agree, NaN payloads and signed zeros included, and the
+// same restart and stopping decisions. The lengths cover passes shorter
+// than one 8-lane block, every partial-block length after a full
+// block, partial blocks around the window size, and passes longer than
+// laneSumMaxLen, which always sum in order; the thresholds include 0,
 // where the sign of a zero step decides the sign of α_k, and a
-// subnormal. A quarter of the trials draw no edge values, so a changed
-// rounding order shows in finite sums.
+// subnormal. Most trials set tol at or within two ulps of the loop's
+// stopping ratio, where the lane sums cannot decide and the ordered
+// fallback must agree with the loop bit for bit; at the ratio and one
+// ulp either side the pass must take it. A quarter of the trials draw
+// no edge values, so a changed rounding order shows in finite sums.
 func TestFISTAStepAVX2BitIdentical(t *testing.T) {
 	if !linalg.HasAVX2() {
 		t.Skip("no AVX2 on this CPU")
@@ -216,40 +304,187 @@ func TestFISTAStepAVX2BitIdentical(t *testing.T) {
 	for n := 0; n <= 17; n++ {
 		lengths = append(lengths, n)
 	}
-	lengths = append(lengths, 63, 64, 65, 511, 512, 513)
+	lengths = append(lengths, 63, 64, 65, 511, 512, 513, laneSumMaxLen+1)
 	thresholds := []float32{0, 0.5, 1e-40, 3}
 	g := rng.New(19)
 	for _, n := range lengths {
-		for _, norms := range []bool{true, false} {
-			for trial := range 400 {
-				thr := thresholds[trial%len(thresholds)]
-				if trial >= 2*len(thresholds) {
-					thr = float32(g.Float64())
-				}
-				step, beta := float32(0.75), float32(0)
-				if trial%3 != 0 {
-					step, beta = float32(0.1+g.Float64()), float32(g.Float64())
-				}
-				alphaPrev, yk, half := edgeStepInputs(n, g, thr, trial%4 != 0)
-				alpha, yk2, half2 := guarded(make([]float32, n)), guarded(yk), guarded(half)
-				got := fistaStepAVX2(alpha, alphaPrev, yk2, half2, step, thr, beta, norms)
-				alphaRef := make([]float32, n)
-				want := fistaStepLoop(alphaRef, alphaPrev, yk, half, step, thr, beta, norms)
-				if !sameBits(got.Restart, want.Restart) || !sameBits(got.Norm, want.Norm) || !sameBits(got.Step, want.Step) {
-					t.Fatalf("n=%d norms=%v trial %d: AVX2 pass %+v (%#x %#x %#x), Go loop %+v (%#x %#x %#x)", n, norms, trial,
-						got, bits(got.Restart), bits(got.Norm), bits(got.Step), want, bits(want.Restart), bits(want.Norm), bits(want.Step))
-				}
-				for i := range alpha {
-					if !sameBits(alpha[i], alphaRef[i]) || !sameBits(yk2[i], yk[i]) {
-						t.Fatalf("n=%d norms=%v trial %d i=%d: AVX2 pass (α %#x, y %#x), Go loop (α %#x, y %#x)", n, norms, trial, i,
-							bits(alpha[i]), bits(yk2[i]), bits(alphaRef[i]), bits(yk[i]))
-					}
-				}
-				if !guardIntact(alpha) || !guardIntact(yk2) || !guardIntact(half2) {
-					t.Fatalf("n=%d: the AVX2 pass wrote past the end of its vectors", n)
-				}
+		trials := 800
+		if n > 1000 {
+			trials = 40
+		}
+		for trial := range trials {
+			thr := thresholds[trial%len(thresholds)]
+			if trial >= 2*len(thresholds) {
+				thr = float32(g.Float64())
+			}
+			step, beta := float32(0.75), float32(0)
+			if trial%3 != 0 {
+				step, beta = float32(0.1+g.Float64()), float32(g.Float64())
+			}
+			alphaPrev, yk, half := edgeStepInputs(n, g, thr, trial%4 != 0)
+			alphaRef := make([]float32, n)
+			fistaStepLoop(alphaRef, alphaPrev, append([]float32(nil), yk...), append([]float32(nil), half...), step, thr, beta, -1)
+			r := stopRatio(alphaRef, alphaPrev)
+			tol := pickTol(g, r)
+			got := checkAVX2Pass(t, fmt.Sprintf("n=%d trial %d", n, trial), alphaPrev, yk, half, step, thr, beta, tol)
+			nearest := tol == ulpsFrom(r, -1) || tol == r || tol == ulpsFrom(r, 1)
+			if nearest && tol >= 0 && linalg.DistNorm2(alphaRef, alphaPrev) != 0 && !got.StopOrdered {
+				t.Fatalf("n=%d trial %d: stop decided from lane sums at tol %v, one ulp from the ratio %v", n, trial, tol, r)
 			}
 		}
+	}
+}
+
+// cancelInputs draws a pass input whose restart products cancel. With
+// y_k = 1/2, h = 0 and thr = 1 every α_k is −0, so the restart product
+// of coefficient i is exactly −α_{k−1}[i]/2, and α_{k−1} sets it. The
+// first n−1 products span thirteen binades of either sign; the last is
+// the negated index-order sum of the others, moved by −2…2 ulps. So
+// the ordered restart sum is zero or a few ulps of either sign, far
+// inside the lane sums' error bound, and any other summation order
+// rounds to other values.
+func cancelInputs(n int, g *rng.Xoshiro) (alphaPrev, yk, half []float32) {
+	alphaPrev, yk, half = make([]float32, n), make([]float32, n), make([]float32, n)
+	var sum float32
+	for i := range yk {
+		yk[i] = 0.5
+		p := float32(math.Ldexp(1+g.Float64(), g.Intn(13)-6))
+		if g.Intn(2) == 0 {
+			p = -p
+		}
+		if i == n-1 {
+			p = -sum
+			for k := g.Intn(5) - 2; k != 0; k -= sign(k) {
+				p = math.Nextafter32(p, float32(k))
+			}
+		}
+		sum += p
+		alphaPrev[i] = -2 * p
+	}
+	return alphaPrev, yk, half
+}
+
+func sign(k int) int {
+	if k < 0 {
+		return -1
+	}
+	return 1
+}
+
+// TestFISTAStepRestartCancellation runs the AVX2 pass on inputs whose
+// restart sum cancels to within a few ulps of zero (cancelInputs). The
+// lane sums cannot tell its sign there, so the pass must take the
+// ordered fallback and decide exactly as the Go loop's index-order sum
+// does, which a pairwise or lane-order fallback sum does not.
+func TestFISTAStepRestartCancellation(t *testing.T) {
+	if !linalg.HasAVX2() {
+		t.Skip("no AVX2 on this CPU")
+	}
+	g := rng.New(23)
+	restarts := 0
+	for trial := range 600 {
+		n := 2 + g.Intn(600)
+		alphaPrev, yk, half := cancelInputs(n, g)
+		got := checkAVX2Pass(t, fmt.Sprintf("cancel n=%d trial %d", n, trial), alphaPrev, yk, half, 0.75, 1, 0.5, -1)
+		if !got.RestartOrdered {
+			t.Fatalf("cancel n=%d trial %d: restart decided from lane sums on a cancelling sum", n, trial)
+		}
+		if got.Restart {
+			restarts++
+		}
+	}
+	if restarts == 0 || restarts == 600 {
+		t.Errorf("the cancelling sums restarted %d of 600 times; the corpus must hit both signs", restarts)
+	}
+}
+
+// TestFISTAStepNormsOffSkipsNormSums checks a pass with stopping
+// disabled (tol < 0): it never stops, the kernel forms no lane sums of
+// squares, and no pass runs the ordered norm sums. On ordinary inputs,
+// whose restart sums are far from zero, no pass takes the ordered
+// fallback at all; on cancelling ones only the restart sum runs in
+// order.
+func TestFISTAStepNormsOffSkipsNormSums(t *testing.T) {
+	if !linalg.HasAVX2() {
+		t.Skip("no AVX2 on this CPU")
+	}
+	g := rng.New(29)
+	for trial := range 400 {
+		n := 1 + g.Intn(600)
+		alphaPrev, yk, half := edgeStepInputs(n, g, 0.5, false)
+		a := make([]float32, n)
+		_, _, _, _, sa, sd := fistaUpdate8(a, alphaPrev, append([]float32(nil), yk...), append([]float32(nil), half...), 0.75, 0.5, 0.6, false)
+		if bits(sa) != 0 || bits(sd) != 0 {
+			t.Fatalf("n=%d trial %d: norms off, but the kernel formed lane sums of squares %v and %v", n, trial, sa, sd)
+		}
+		p := checkAVX2Pass(t, fmt.Sprintf("norms off n=%d", n), alphaPrev, yk, half, 0.75, 0.5, 0.6, -1)
+		if p.Stop || p.StopOrdered || p.RestartOrdered {
+			t.Fatalf("n=%d trial %d: norms off, pass %+v", n, trial, p)
+		}
+		alphaPrev, yk, half = cancelInputs(n+1, g)
+		if p := checkAVX2Pass(t, fmt.Sprintf("norms off cancel n=%d", n+1), alphaPrev, yk, half, 0.75, 1, 0.6, -1); p.Stop || p.StopOrdered {
+			t.Fatalf("n=%d trial %d: norms off, cancelling pass %+v", n+1, trial, p)
+		}
+	}
+}
+
+// orderedPassesPin is the number of update passes of
+// TestFISTAOrderedPassesRare's corpus that took the ordered fallback.
+const orderedPassesPin = 4
+
+// TestFISTAOrderedPassesRare decodes a fixed corpus, 16 consecutive
+// 2 s windows of two records at CR 50 over the production operator,
+// warm-started as the packet decoder does at its tolerance, and pins how
+// many update passes took the ordered fallback: it must stay under 1 %
+// of the passes, or the lane sums stop paying for themselves.
+func TestFISTAOrderedPassesRare(t *testing.T) {
+	if !linalg.HasAVX2() {
+		t.Skip("no AVX2 on this CPU")
+	}
+	const n, m, windows = 512, 256, 8
+	w, err := wavelet.New[float32](4, n, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi, err := sensing.NewSparseBinaryLCG(m, n, 12, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sense := sensing.Op[float32](phi)
+	a := linalg.Compose(sense, w.SynthesisOp())
+	lip := 2 * linalg.PowerIterOpNorm(a, 30)
+	passes := 0
+	ws := NewWorkspace(a)
+	for _, id := range []string{"100", "208"} {
+		rec, err := ecg.RecordByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := rec.Channel256(float64(windows*n)/256, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, y := make([]float32, n), make([]float32, m)
+		var x0 []float32
+		for win := range windows {
+			for i := range x {
+				x[i] = float32(samples[win*n+i]) - 1024
+			}
+			sense.Apply(y, x)
+			res, err := ws.FISTA(y, Options[float32]{MaxIter: 2000, Tol: 3e-5, Lipschitz: lip, X0: x0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes += res.Iterations
+			x0 = res.X
+		}
+	}
+	t.Logf("%d of %d update passes took the ordered fallback", ws.ordered, passes)
+	if ws.ordered != orderedPassesPin {
+		t.Errorf("%d of %d update passes took the ordered fallback, pinned %d", ws.ordered, passes, orderedPassesPin)
+	}
+	if ws.ordered*100 >= passes {
+		t.Errorf("%d of %d update passes took the ordered fallback, want under 1 %%", ws.ordered, passes)
 	}
 }
 
@@ -264,7 +499,7 @@ func kernelRan[T linalg.Float](t *testing.T) bool {
 	t.Helper()
 	alphaPrev, yk, half := stepInputs[T](64, 5, 0.5)
 	before := append([]T(nil), half...)
-	fistaStepFused(make([]T, 64), alphaPrev, yk, half, 0.75, 0.5, 0.6, true)
+	fistaStepFused(make([]T, 64), alphaPrev, yk, half, 0.75, 0.5, 0.6, 1e-4)
 	for i := range half {
 		if half[i] != before[i] {
 			return true
@@ -288,10 +523,11 @@ func TestFISTAStepDispatch(t *testing.T) {
 }
 
 // benchStep times one FISTA update pass over 512 coefficients, the
-// decoder's window, with norms on. Every pass starts from the same y_k
+// decoder's window, at the decoder's tolerance, where the stopping rule
+// forms its norms. Every pass starts from the same y_k
 // and half-gradient, copied in first (both copies are inside the
 // timing), so the shrink meets the same mix of signs on every run.
-func benchStep[T linalg.Float](b *testing.B, pass func(alpha, alphaPrev, yk, half []T, step, thr, beta T, norms bool) fistaPass[T]) {
+func benchStep[T linalg.Float](b *testing.B, pass func(alpha, alphaPrev, yk, half []T, step, thr, beta T, tol float64) fistaPass) {
 	const n = 512
 	alphaPrev, yk0, half0 := stepInputs[T](n, 11, 0.5)
 	alpha, yk, half := make([]T, n), make([]T, n), make([]T, n)
@@ -299,7 +535,7 @@ func benchStep[T linalg.Float](b *testing.B, pass func(alpha, alphaPrev, yk, hal
 	for range b.N {
 		copy(yk, yk0)
 		copy(half, half0)
-		pass(alpha, alphaPrev, yk, half, 0.75, 0.5, 0.6, true)
+		pass(alpha, alphaPrev, yk, half, 0.75, 0.5, 0.6, 3e-5)
 	}
 }
 
@@ -311,4 +547,46 @@ func BenchmarkFISTAStepFused512(b *testing.B) {
 	b.Run("float32", func(b *testing.B) { benchStep(b, fistaStepFused[float32]) })
 	b.Run("float32-loop", func(b *testing.B) { benchStep(b, fistaStepLoop[float32]) })
 	b.Run("float64", func(b *testing.B) { benchStep(b, fistaStepFused[float64]) })
+}
+
+// FuzzFISTAStepDecisions runs the AVX2 pass and fistaStepLoop on fuzzed
+// vectors, step, threshold, momentum weight and tolerance, and requires
+// equal α_k and y_{k+1} bits and equal decisions. data holds the
+// coefficients, 12 bytes each: the float32 bits of y_k, h and α_{k−1}.
+// tolMode 0 takes tol from tolBits; 1…5 set it at the loop's exact
+// stopping ratio moved by −2…2 ulps, where only the ordered fallback
+// can decide.
+func FuzzFISTAStepDecisions(f *testing.F) {
+	g := rng.New(31)
+	for _, n := range []int{0, 5, 8, 13, 64, 200} {
+		alphaPrev, yk, half := edgeStepInputs(n, g, 0.5, n%2 == 1)
+		data := make([]byte, 0, 12*n)
+		for i := range yk {
+			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(yk[i]))
+			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(half[i]))
+			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(alphaPrev[i]))
+		}
+		for mode := range uint8(6) {
+			f.Add(data, math.Float32bits(0.75), math.Float32bits(0.5), math.Float32bits(0.6), mode, math.Float64bits(3e-5))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, stepBits, thrBits, betaBits uint32, tolMode uint8, tolBits uint64) {
+		if !linalg.HasAVX2() {
+			t.Skip("no AVX2 on this CPU")
+		}
+		n := len(data) / 12
+		alphaPrev, yk, half := make([]float32, n), make([]float32, n), make([]float32, n)
+		for i := range n {
+			word := func(k int) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(data[12*i+4*k:])) }
+			yk[i], half[i], alphaPrev[i] = word(0), word(1), word(2)
+		}
+		step, thr, beta := math.Float32frombits(stepBits), math.Float32frombits(thrBits), math.Float32frombits(betaBits)
+		tol := math.Float64frombits(tolBits)
+		if mode := int(tolMode % 6); mode > 0 {
+			alphaRef := make([]float32, n)
+			fistaStepLoop(alphaRef, alphaPrev, append([]float32(nil), yk...), append([]float32(nil), half...), step, thr, beta, -1)
+			tol = ulpsFrom(stopRatio(alphaRef, alphaPrev), mode-3)
+		}
+		checkAVX2Pass(t, "fuzz", alphaPrev, yk, half, step, thr, beta, tol)
+	})
 }

@@ -83,8 +83,9 @@ func (h *Histogram) Bucket(b int) int64 {
 	return h.buckets[b].Load()
 }
 
-// Quantiles estimates several quantiles in one pass over the buckets.
-// qs must be sorted ascending in [0, 1]; the result aligns with qs.
+// Quantiles estimates several quantiles, in one pass over the buckets
+// when qs ascends; the result aligns with qs, which may come in any
+// order, and each q is clamped to [0, 1].
 // Each estimate interpolates linearly inside the containing log2
 // bucket, so it lies within the bucket's [low, high] bounds — at most
 // 2× away from the exact order statistic (the error-bound test pins
@@ -113,6 +114,10 @@ func (h *Histogram) Quantiles(qs ...float64) []int64 {
 		rank := int64(math.Ceil(q * float64(n)))
 		if rank < 1 {
 			rank = 1
+		}
+		if rank <= cum {
+			// Below the bucket the walk stopped at: restart it.
+			b, cum = 0, 0
 		}
 		for ; b < NumBuckets; b++ {
 			c := counts[b]

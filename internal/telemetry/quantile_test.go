@@ -53,6 +53,28 @@ func TestQuantilesErrorBound(t *testing.T) {
 }
 
 // TestQuantilesEmpty covers the zero-observation path.
+// TestQuantilesAnyOrder asks for quantiles in descending and mixed
+// order, with duplicates and out-of-range values, and requires each
+// answer to equal a single-quantile call.
+func TestQuantilesAnyOrder(t *testing.T) {
+	var h Histogram
+	for v := int64(1); v <= 100; v++ {
+		h.Observe(v)
+	}
+	for _, qs := range [][]float64{
+		{0.5, 1, 0},
+		{1, 0.99, 0.5, 0.1, 0},
+		{0.9, 0.1, 0.9, -1, 2, 0.5},
+	} {
+		got := h.Quantiles(qs...)
+		for i, q := range qs {
+			if want := h.Quantiles(q)[0]; got[i] != want {
+				t.Errorf("Quantiles%v[%d] (q=%v) = %d, single call %d", qs, i, q, got[i], want)
+			}
+		}
+	}
+}
+
 func TestQuantilesEmpty(t *testing.T) {
 	var h Histogram
 	for _, v := range h.Quantiles(0.5, 0.99) {

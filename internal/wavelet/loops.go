@@ -6,31 +6,34 @@ import "csecg/internal/linalg"
 // filter-bank loop nest: vectorizing the inner (tap) loop costs extra
 // cross-lane add instructions per output, while vectorizing the outer
 // (output) loop keeps four independent accumulators and needs none.
+// Fig. 3 peels the outputs whose taps wrap around the block end out of
+// the main loop.
 //
 // analyzeSplit and synthesizeSplit are the production kernels of
-// Transform. analyzeSplit takes the outer-loop shape, and both peel the
-// outputs whose taps wrap around the block end out of the main loop
-// (Fig. 3), so no main-loop body carries an index branch. Both keep the
-// scalar loop's summation order for every output, so the transform is
-// bit-identical to the plain reference loops (wavelet tests pin this
-// with Float32bits/Float64bits comparisons). At float32 on a CPU with
-// AVX2, their flat interiors run 8 lanes wide in the kernels of
-// kernels.go, in the same order. The scalar and inner-loop shapes the
-// paper compares against live with the loop-shape tests and benchmarks.
+// Transform. Both take the outer-loop shape and keep the scalar loop's
+// summation order for every output, so the transform is bit-identical
+// to the plain reference loops (wavelet tests pin this with
+// Float32bits/Float64bits comparisons). analyzeSplit needs no peeling:
+// it reads a periodically extended copy of its block, so no output
+// wraps. synthesizeSplit still peels its first taps−2 outputs, whose
+// reference order adds the wrapped contributions last. At float32 on a
+// CPU with AVX2, everything else runs 8 lanes wide in the kernels of
+// kernels.go, in the same order. The scalar, inner-loop and peeled
+// analysis shapes the paper compares live with the loop-shape tests
+// and benchmarks.
 
-// analyzeSplit performs one analysis split of the block x: dst[:n/2]
-// receives the approximation and dst[n/2:n] the detail, with periodic
-// extension at the block end. The filters h and g have equal length, at
-// most len(x), and dst must have len(x) entries.
+// analyzeSplit performs one analysis split of a block of length n:
+// dst[:n/2] receives the approximation and dst[n/2:n] the detail. x is
+// the block's periodic extension, its n samples followed by its first
+// taps−2 again, so output k reads x[2k : 2k+taps] without wrapping. The
+// filters h and g have equal length, at most n.
 func analyzeSplit[T linalg.Float](dst, x, h, g []T) {
-	n := len(x)
-	half := n / 2
+	half := len(dst) / 2
 	taps := len(h)
 	g = g[:taps]
-	// Outputs k < flat read x[2k : 2k+taps] without wrapping.
-	flat := (n-taps)/2 + 1
-	k := analyzeKernel(dst, x, h, g, flat)
-	for ; k+4 <= flat; k += 4 {
+	x = x[:2*half+taps-2]
+	k := analyzeKernel(dst, x, h, g)
+	for ; k+4 <= half; k += 4 {
 		x0 := x[2*k:][:taps]
 		x1 := x[2*k+2:][:taps]
 		x2 := x[2*k+4:][:taps]
@@ -52,31 +55,12 @@ func analyzeSplit[T linalg.Float](dst, x, h, g []T) {
 		dst[k], dst[k+1], dst[k+2], dst[k+3] = a0, a1, a2, a3
 		dst[half+k], dst[half+k+1], dst[half+k+2], dst[half+k+3] = d0, d1, d2, d3
 	}
-	for ; k < flat; k++ {
+	for ; k < half; k++ {
 		xs := x[2*k : 2*k+taps]
 		var a, d T
 		for i, hi := range h {
 			v := xs[i]
 			a += hi * v
-			d += g[i] * v
-		}
-		dst[k] = a
-		dst[half+k] = d
-	}
-	// Wrap-around tail: the tap loop splits where the taps pass the
-	// block end and continues from x[0].
-	for ; k < half; k++ {
-		base := 2 * k
-		split := n - base
-		var a, d T
-		for i := 0; i < split; i++ {
-			v := x[base+i]
-			a += h[i] * v
-			d += g[i] * v
-		}
-		for i := split; i < taps; i++ {
-			v := x[base+i-n]
-			a += h[i] * v
 			d += g[i] * v
 		}
 		dst[k] = a
@@ -99,19 +83,24 @@ func synthesizeSplit[T linalg.Float](dst, a, d, h, g []T) {
 	g = g[:taps]
 	hp := taps / 2 // contributions per output
 	d = d[:len(a)]
-	for j := 0; j < taps-2; j++ {
-		var acc T
-		for k := 0; 2*k <= j; k++ {
-			i := j - 2*k
-			acc += h[i]*a[k] + g[i]*d[k]
+	// Outputs 2p and 2p+1 gather inputs k = p−hp+1 … p (mod half). For
+	// the head pairs p < hp−1 that wraps: term t reads input t while
+	// t ≤ p and the wrapped input half−hp+t after, ascending k as the
+	// scatter adds them. The terms run outermost, so the head's sums,
+	// one chain of dependent adds each, advance side by side.
+	head := dst[:taps-2]
+	clear(head)
+	for t := 0; t < hp; t++ {
+		for p := 0; p < hp-1; p++ {
+			k, ie := t, 2*(p-t)
+			if t > p {
+				k, ie = half-hp+t, ie+taps
+			}
+			av, dv := a[k], d[k]
+			head[2*p] += h[ie]*av + g[ie]*dv
+			head[2*p+1] += h[ie+1]*av + g[ie+1]*dv
 		}
-		for k := (j+n-taps)/2 + 1; k < half; k++ {
-			i := j + n - 2*k
-			acc += h[i]*a[k] + g[i]*d[k]
-		}
-		dst[j] = acc
 	}
-	// Outputs 2p and 2p+1 gather inputs k = p−hp+1 … p.
 	p := hp - 1
 	p += synthesizeKernel(dst, a, d, h, g, p)
 	for ; p+2 <= half; p += 2 {

@@ -146,8 +146,8 @@ func requireDispatch[T linalg.Float](t *testing.T) {
 	_, f32 := any(T(0)).(float32)
 	want := f32 && linalg.HasAVX2()
 	buf, x := make([]T, 512), ecgLike[T](512, 1)
-	flat := (512-len(tr.h))/2 + 1
-	if got := analyzeKernel(buf, x, tr.h, tr.g, flat) > 0; got != want {
+	ext := append(x, x[:len(tr.h)-2]...)
+	if got := analyzeKernel(buf, ext, tr.h, tr.g) > 0; got != want {
 		t.Fatalf("%T: analysis kernel dispatched = %v, want %v (HasAVX2 %v)", T(0), got, want, linalg.HasAVX2())
 	}
 	if got := synthesizeKernel(buf, x[:256], x[256:], tr.h, tr.g, len(tr.h)/2-1) > 0; got != want {
@@ -198,10 +198,59 @@ func requireMismatchPanics[T linalg.Float](t *testing.T, tr *Transform[T]) {
 	}
 }
 
+// The shape sweep of checkTransformBits. The lengths and orders are
+// chosen so that, at float32 on AVX2, requireSweepCovers finds every
+// branch of the kernel dispatch in some level.
+var (
+	sweepLengths = []int{8, 24, 40, 64, 88, 136, 200, 256, 360, 512}
+	sweepOrders  = []int{1, 2, 3, 4, 10}
+)
+
+// requireSweepCovers fails unless the sweep has, for both analysis
+// (len(dst)/2 outputs per level) and synthesis (half−taps/2+1 unwrapped
+// output pairs per level), a level below 8 outputs, which runs the Go
+// loops; a level whose count is not a multiple of 8, which ends with the
+// overlapping block; and levels with an odd and an even number (at
+// least two) of full blocks, so the 2-block loop runs with and without
+// its single-block tail. db1, whose analysis extension is empty, and
+// db10 must each run both kernels.
+func requireSweepCovers(t *testing.T) {
+	t.Helper()
+	seen := map[string]bool{}
+	note := func(kind string, order, count int) {
+		if count < 8 {
+			seen[kind+" below 8"] = true
+			return
+		}
+		seen[fmt.Sprintf("%s db%d", kind, order)] = true
+		if count%8 != 0 {
+			seen[kind+" overlap"] = true
+		}
+		if blocks := count / 8; blocks >= 2 {
+			seen[fmt.Sprintf("%s blocks%%2=%d", kind, blocks%2)] = true
+		}
+	}
+	for _, n := range sweepLengths {
+		for _, order := range sweepOrders {
+			for m, lev := n, 0; lev < MaxLevels(order, n); lev, m = lev+1, m/2 {
+				note("analysis", order, m/2)
+				note("synthesis", order, m/2-order+1)
+			}
+		}
+	}
+	for _, kind := range []string{"analysis", "synthesis"} {
+		for _, want := range []string{"below 8", "overlap", "blocks%2=0", "blocks%2=1", "db1", "db10"} {
+			if !seen[kind+" "+want] {
+				t.Errorf("the shape sweep has no %s level with %s", kind, want)
+			}
+		}
+	}
+}
+
 func checkTransformBits[T linalg.Float](t *testing.T) {
 	requireDispatch[T](t)
-	for _, n := range []int{64, 256, 512} {
-		for _, order := range []int{1, 2, 4, 10} {
+	for _, n := range sweepLengths {
+		for _, order := range sweepOrders {
 			for levels := 1; levels <= MaxLevels(order, n); levels++ {
 				tr, err := New[T](order, n, levels)
 				if err != nil {
@@ -231,12 +280,17 @@ func checkTransformBits[T linalg.Float](t *testing.T) {
 // TestTransformBitIdenticalToReference pins the production kernels to
 // the scalar reference loops bit for bit. Any reassociation of a sum,
 // a reciprocal multiply or a fused multiply-add in the kernels changes
-// the rounding of some coefficient and fails it. The level sweep runs
-// every block length down to the filter length, so the 8-output AVX2
-// blocks, the 4-output Go blocks, the scalar remainder and the wrap
-// tail are all hit. On a CPU with AVX2 the float32 splits must run the
-// kernels, so the test cannot pass on the Go loops alone.
+// the rounding of some coefficient and fails it, and so does a kernel
+// that reads the wrong sample: an analysis extension one sample short,
+// an overlapping block shifted by one, or the wrapped synthesis head
+// run in the kernel's order. The sweep (requireSweepCovers) runs
+// levels below 8 outputs on the Go loops and, on the kernels, the
+// overlapping last block, the 2-block loop with and without its
+// single-block tail, and the shortest (db1) and longest (db10) filters.
+// On a CPU with AVX2 the float32 splits must run the kernels, so the
+// test cannot pass on the Go loops alone.
 func TestTransformBitIdenticalToReference(t *testing.T) {
+	requireSweepCovers(t)
 	t.Run("float32", checkTransformBits[float32])
 	t.Run("float64", checkTransformBits[float64])
 }

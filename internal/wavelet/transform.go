@@ -22,9 +22,10 @@ type Transform[T linalg.Float] struct {
 	h, g   []T // analysis low/high-pass filters
 	n      int
 	levels int
-	// scratch pools the length-n level buffer of Forward and Inverse.
-	// A pool rather than one owned buffer keeps a shared Transform safe
-	// to drive from several goroutines at once.
+	// scratch pools the level buffer of Forward and Inverse, n+taps−2
+	// entries: Forward extends each level's input periodically by taps−2
+	// samples. A pool rather than one owned buffer keeps a shared
+	// Transform safe to drive from several goroutines at once.
 	scratch sync.Pool
 }
 
@@ -56,7 +57,7 @@ func New[T linalg.Float](order, n, levels int) (*Transform[T], error) {
 		t.g[i] = T(g64[i])
 	}
 	t.scratch.New = func() any {
-		buf := make([]T, n)
+		buf := make([]T, n+len(h64)-2)
 		return &buf
 	}
 	return t, nil
@@ -86,16 +87,18 @@ func (t *Transform[T]) Forward(dst, x []T) {
 	}
 	bp := t.scratch.Get().(*[]T)
 	buf := *bp
-	// Level 1 reads x; each later level reads the previous level's
-	// approximation, copied out of dst before dst[:n] is overwritten.
-	// The last approximation stays in place as a_L.
-	src := x
+	// Each level reads its input from buf, followed by its first taps−2
+	// samples again: level 1 reads x, each later level the previous
+	// level's approximation, copied out of dst before dst[:n] is
+	// overwritten. The last approximation stays in place as a_L.
+	ext := len(t.h) - 2
+	copy(buf, x)
 	n := t.n
 	for lev := 0; lev < t.levels; lev++ {
-		analyzeSplit(dst[:n], src[:n], t.h, t.g)
-		copy(buf[:n/2], dst[:n/2])
-		src = buf
+		copy(buf[n:n+ext], buf[:ext])
+		analyzeSplit(dst[:n], buf[:n+ext], t.h, t.g)
 		n /= 2
+		copy(buf[:n], dst[:n])
 	}
 	t.scratch.Put(bp)
 }
