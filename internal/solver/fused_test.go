@@ -122,9 +122,9 @@ func checkStepDecisions[T linalg.Float](t *testing.T, n int, thr T) {
 		if kernel && i >= 1 && i <= 3 && linalg.DistNorm2(alphaRef, alphaPrev) != 0 && !p.StopOrdered {
 			t.Errorf("%T n=%d thr=%v tol=%v: stop decided from lane sums at one ulp from the ratio %v", thr, n, thr, tol, r)
 		}
-		for i := range alpha {
-			if alpha[i] != alpha2[i] || yk[i] != yk2[i] {
-				t.Fatalf("%T n=%d thr=%v i=%d: reference (α %v, y %v), fused (α %v, y %v)", thr, n, thr, i, alpha2[i], yk2[i], alpha[i], yk[i])
+		for j := range alpha {
+			if alpha[j] != alpha2[j] || yk[j] != yk2[j] {
+				t.Fatalf("%T n=%d thr=%v j=%d: reference (α %v, y %v), fused (α %v, y %v)", thr, n, thr, j, alpha2[j], yk2[j], alpha[j], yk[j])
 			}
 		}
 	}
