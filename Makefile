@@ -82,11 +82,11 @@ bench-once:
 
 # Race instrumentation slows the FISTA-heavy experiment-shape tests past
 # any reasonable timeout; they run un-instrumented in `test` and skip
-# themselves under -short.
-# The shared-operator test then repeats under -race: Compose and
-# Transform pool their scratch vectors so one operator can serve
-# several goroutines, and a scratch buffer that leaked between callers
-# would show up here as a data race.
+# themselves under -short. The decode-path allocation tests run here too.
+# The shared-operator test then repeats under -race: goroutines share
+# the read-only Φ and filter taps while each owns its Compose and
+# Transform scratch, and a write to anything shared would show up here
+# as a data race.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=10 -run TestSharedOperatorsConcurrent ./internal/wavelet/

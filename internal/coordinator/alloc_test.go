@@ -14,9 +14,6 @@ import (
 // count, so the whole FISTA loop of a real-time decode is free of heap
 // traffic.
 func TestWarmDecodeAllocsIndependentOfIterations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pooled scratch at random under -race")
-	}
 	const runs = 10
 	params := core.Params{Seed: 5, M: metrics.MForCR(50, core.WindowSize)}
 	enc, err := core.NewEncoder(params)

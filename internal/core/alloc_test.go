@@ -73,9 +73,6 @@ func TestEncodeWindowKeyFrameZeroAllocs(t *testing.T) {
 // out, the DecodeResult, its MV and its Samples. The solve runs in the
 // decoder's workspace.
 func TestWarmDecodePacketAllocatesOnlyItsResult(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pooled scratch at random under -race")
-	}
 	const runs = 20
 	p := Params{Seed: 42, M: metrics.MForCR(50, WindowSize)}
 	pkts := encodeStream(t, p, runs+3) // key frame, two warm-ups, runs

@@ -28,10 +28,6 @@ type Fig2Result struct {
 func Fig2(opt Options) (*Fig2Result, error) {
 	opt = opt.withDefaults()
 	const n = core.WindowSize
-	w, err := wavelet.New[float64](core.DefaultWaveletOrder, n, core.DefaultWaveletLevels)
-	if err != nil {
-		return nil, err
-	}
 	res := &Fig2Result{}
 	for cr := 50.0; cr <= 80.0; cr += 5 {
 		m := metrics.MForCR(cr, n)
@@ -45,11 +41,11 @@ func Fig2(opt Options) (*Fig2Result, error) {
 		}
 		sparseOp := sensing.Op[float64](sparse)
 		gaussOp := linalg.OpFromDense(gauss)
-		sSNR, err := meanRecoverySNR(opt, w, sparseOp, n, m)
+		sSNR, err := meanRecoverySNR(opt, sparseOp, n, m)
 		if err != nil {
 			return nil, err
 		}
-		gSNR, err := meanRecoverySNR(opt, w, gaussOp, n, m)
+		gSNR, err := meanRecoverySNR(opt, gaussOp, n, m)
 		if err != nil {
 			return nil, err
 		}
@@ -59,18 +55,34 @@ func Fig2(opt Options) (*Fig2Result, error) {
 }
 
 // meanRecoverySNR measures mean reconstruction SNR over the option's
-// record windows for one sensing operator.
-func meanRecoverySNR(opt Options, w *wavelet.Transform[float64], phi linalg.Op[float64], n, m int) (float64, error) {
-	a := linalg.Compose(phi, w.SynthesisOp())
-	lip := 2 * linalg.PowerIterOpNorm(a, 30)
-	// Records are independent; fan them out over the CPU (the operator
-	// closures are read-only and the solvers allocate their own state).
+// record windows for one sensing operator. phi must be safe to apply
+// from several goroutines at once: it is shared across records.
+func meanRecoverySNR(opt Options, phi linalg.Op[float64], n, m int) (float64, error) {
+	newOp := func() (*wavelet.Transform[float64], linalg.Op[float64], error) {
+		w, err := wavelet.New[float64](core.DefaultWaveletOrder, n, core.DefaultWaveletLevels)
+		if err != nil {
+			return nil, linalg.Op[float64]{}, err
+		}
+		return w, linalg.Compose(phi, w.SynthesisOp()), nil
+	}
+	_, lipOp, err := newOp()
+	if err != nil {
+		return 0, err
+	}
+	lip := 2 * linalg.PowerIterOpNorm(lipOp, 30)
+	// Records are independent; fan them out over the CPU. Each record
+	// builds its own Transform and Compose, whose scratch serves one
+	// goroutine at a time; Φ is only read.
 	type recordSNR struct {
 		sum   float64
 		count int
 	}
 	results, err := forEachRecord(opt.Records, func(id string) (recordSNR, error) {
 		var acc recordSNR
+		w, a, err := newOp()
+		if err != nil {
+			return acc, err
+		}
 		wins, err := windows256(id, opt.SecondsPerRecord, n)
 		if err != nil {
 			return acc, err

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Op is a linear operator presented as a pair of closures: Apply computes
 // dst = A·x and ApplyT computes dst = Aᵀ·y. The CS reconstruction never
@@ -72,33 +69,24 @@ func OpFromDense[T Float](m *Dense[T]) Op[T] {
 // The CS recovery operator is Compose(Φ, Ψ) with Ψ the inverse-wavelet
 // synthesis operator.
 //
-// Each apply borrows its intermediate vector from a sync.Pool owned by
-// the returned operator, so a FISTA iteration allocates nothing, and
-// one composed operator may still be driven from several goroutines at
-// once (the experiment harness fans a shared operator across records).
+// The returned operator owns one intermediate vector, allocated here,
+// so its applies allocate nothing. It serves one goroutine at a time:
+// concurrent callers each compose their own.
 func Compose[T Float](outer, inner Op[T]) Op[T] {
 	if inner.OutDim != outer.InDim {
 		panic("linalg: Compose dimension mismatch")
 	}
-	// The pool holds *[]T so Get and Put do not allocate.
-	mid := &sync.Pool{New: func() any {
-		v := make([]T, inner.OutDim)
-		return &v
-	}}
+	mid := make([]T, inner.OutDim)
 	return Op[T]{
 		InDim:  inner.InDim,
 		OutDim: outer.OutDim,
 		Apply: func(dst, x []T) {
-			buf := mid.Get().(*[]T)
-			inner.Apply(*buf, x)
-			outer.Apply(dst, *buf)
-			mid.Put(buf)
+			inner.Apply(mid, x)
+			outer.Apply(dst, mid)
 		},
 		ApplyT: func(dst, y []T) {
-			buf := mid.Get().(*[]T)
-			outer.ApplyT(*buf, y)
-			inner.ApplyT(dst, *buf)
-			mid.Put(buf)
+			outer.ApplyT(mid, y)
+			inner.ApplyT(dst, mid)
 		},
 	}
 }

@@ -38,9 +38,6 @@ func productionProblem(t *testing.T) (linalg.Op[float32], []float32, float32) {
 // Compose(Φ, Ψ) allocates its per-solve state once, so the count is the
 // same at 10 iterations as at 400.
 func TestFISTAIterationsAllocateNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pooled scratch at random under -race")
-	}
 	a, y, lip := productionProblem(t)
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(20, func() {
@@ -64,9 +61,6 @@ func TestFISTAIterationsAllocateNothing(t *testing.T) {
 // resolved in the workspace, allocates nothing, and a continuation solve
 // allocates only the StageIters it returns.
 func TestWorkspaceSolvesAllocateNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pooled scratch at random under -race")
-	}
 	a, y, lip := productionProblem(t)
 	ws := NewWorkspace(a)
 	var x []float32

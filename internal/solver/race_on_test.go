@@ -2,7 +2,7 @@
 
 package solver
 
-// raceEnabled reports a -race build. sync.Pool drops a random share of
-// Put calls under the race detector, so allocation counts are only
-// meaningful without it.
+// raceEnabled reports a -race build. The race build compiles some
+// commutative adds with their operands swapped, which changes which
+// payload a NaN + NaN keeps, so sameBits accepts either NaN there.
 const raceEnabled = true

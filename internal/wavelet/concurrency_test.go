@@ -9,15 +9,15 @@ import (
 	"csecg/internal/solver"
 )
 
-// TestSharedOperatorsConcurrent drives one composed CS operator and one
-// Transform from four goroutines at once, as the Fig. 2 experiment
-// fans them across records, and requires every result to equal the
-// serial run's bit for bit. Both borrow their scratch vectors from
-// pools; a scratch buffer shared between goroutines would corrupt
-// results here and trip the race detector (make race runs this test
-// under -race -count=10). The float32 instantiation drives the AVX2
-// gather and filter-bank kernels, and their stack-held tail scratch,
-// where the CPU has AVX2.
+// TestSharedOperatorsConcurrent checks the operators' concurrency
+// contract as the Fig. 2 experiment uses it: four goroutines share the
+// read-only Φ and filter taps, and each builds its own Transform and
+// Compose, whose scratch serves one goroutine at a time. Every result
+// must equal the serial run's bit for bit; state written through a
+// shared value would corrupt results here and trip the race detector
+// (make race runs this test under -race -count=10). The float32
+// instantiation drives the AVX2 gather and filter-bank kernels, and
+// their stack-held tail scratch, where the CPU has AVX2.
 func TestSharedOperatorsConcurrent(t *testing.T) {
 	t.Run("float32", sharedOperatorsConcurrent[float32])
 	t.Run("float64", sharedOperatorsConcurrent[float64])
@@ -25,7 +25,7 @@ func TestSharedOperatorsConcurrent(t *testing.T) {
 
 func sharedOperatorsConcurrent[T linalg.Float](t *testing.T) {
 	const n, m, workers, reps = 512, 256, 4, 3
-	w, err := New[T](4, n, 5)
+	taps, err := New[T](4, n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,21 @@ func sharedOperatorsConcurrent[T linalg.Float](t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := linalg.Compose(sensing.Op[T](phi), w.SynthesisOp())
-	lip := 2 * linalg.PowerIterOpNorm(a, 30)
+	phiOp := sensing.Op[T](phi)
+	lip := 2 * linalg.PowerIterOpNorm(linalg.Compose(phiOp, taps.SynthesisOp()), 30)
 
 	type output struct{ alpha, signal, coeffs []T }
-	run := func(job int) (output, error) {
+	// operators builds one goroutine's Transform, sharing taps' filters,
+	// and the CS operator composed over it.
+	operators := func() (*Transform[T], linalg.Op[T], error) {
+		w, err := New[T](4, n, 5)
+		if err != nil {
+			return nil, linalg.Op[T]{}, err
+		}
+		w.h, w.g = taps.h, taps.g
+		return w, linalg.Compose(phiOp, w.SynthesisOp()), nil
+	}
+	run := func(w *Transform[T], a linalg.Op[T], job int) (output, error) {
 		x := ecgLike[T](n, uint64(job+1))
 		y := make([]T, m)
 		a.Apply(y, x)
@@ -52,9 +62,12 @@ func sharedOperatorsConcurrent[T linalg.Float](t *testing.T) {
 	}
 
 	want := make([]output, workers)
+	serialW, serialA, err := operators()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for job := range want {
-		var err error
-		if want[job], err = run(job); err != nil {
+		if want[job], err = run(serialW, serialA, job); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,8 +78,13 @@ func sharedOperatorsConcurrent[T linalg.Float](t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w, a, err := operators()
+			if err != nil {
+				errs[job] = err
+				return
+			}
 			for rep := 0; rep < reps; rep++ {
-				out, err := run(job)
+				out, err := run(w, a, job)
 				if err != nil {
 					errs[job] = err
 					return

@@ -2,7 +2,6 @@ package wavelet
 
 import (
 	"fmt"
-	"sync"
 
 	"csecg/internal/linalg"
 )
@@ -22,11 +21,11 @@ type Transform[T linalg.Float] struct {
 	h, g   []T // analysis low/high-pass filters
 	n      int
 	levels int
-	// scratch pools the level buffer of Forward and Inverse, n+taps−2
+	// scratch is the level buffer of Forward and Inverse, n+taps−2
 	// entries: Forward extends each level's input periodically by taps−2
-	// samples. A pool rather than one owned buffer keeps a shared
-	// Transform safe to drive from several goroutines at once.
-	scratch sync.Pool
+	// samples. Because the Transform owns it, one Transform serves one
+	// goroutine at a time.
+	scratch []T
 }
 
 // New builds a Daubechies-order transform for length-n signals with the
@@ -51,14 +50,16 @@ func New[T linalg.Float](order, n, levels int) (*Transform[T], error) {
 		return nil, fmt.Errorf("wavelet: coarsest block %d shorter than %d-tap filter; reduce levels", coarse, len(h64))
 	}
 	g64 := QMF(h64)
-	t := &Transform[T]{n: n, levels: levels, h: make([]T, len(h64)), g: make([]T, len(g64))}
+	t := &Transform[T]{
+		h:       make([]T, len(h64)),
+		g:       make([]T, len(g64)),
+		n:       n,
+		levels:  levels,
+		scratch: make([]T, n+len(h64)-2),
+	}
 	for i := range h64 {
 		t.h[i] = T(h64[i])
 		t.g[i] = T(g64[i])
-	}
-	t.scratch.New = func() any {
-		buf := make([]T, n+len(h64)-2)
-		return &buf
 	}
 	return t, nil
 }
@@ -85,8 +86,7 @@ func (t *Transform[T]) Forward(dst, x []T) {
 	if len(dst) != t.n || len(x) != t.n {
 		panic("wavelet: Forward length mismatch")
 	}
-	bp := t.scratch.Get().(*[]T)
-	buf := *bp
+	buf := t.scratch
 	// Each level reads its input from buf, followed by its first taps−2
 	// samples again: level 1 reads x, each later level the previous
 	// level's approximation, copied out of dst before dst[:n] is
@@ -100,7 +100,6 @@ func (t *Transform[T]) Forward(dst, x []T) {
 		n /= 2
 		copy(buf[:n], dst[:n])
 	}
-	t.scratch.Put(bp)
 }
 
 // Inverse computes the synthesis transform Ψ: dst receives the signal
@@ -110,8 +109,7 @@ func (t *Transform[T]) Inverse(dst, coeffs []T) {
 	if len(dst) != t.n || len(coeffs) != t.n {
 		panic("wavelet: Inverse length mismatch")
 	}
-	bp := t.scratch.Get().(*[]T)
-	buf := *bp
+	buf := t.scratch
 	// The coarsest level reads a_L from coeffs; each finer level reads
 	// the approximation the previous one rebuilt, copied out of dst.
 	n := t.n >> uint(t.levels)
@@ -122,7 +120,6 @@ func (t *Transform[T]) Inverse(dst, coeffs []T) {
 		copy(a, dst[:2*n])
 	}
 	synthesizeSplit(dst, a, coeffs[n:], t.h, t.g)
-	t.scratch.Put(bp)
 }
 
 // SynthesisOp exposes Ψ as a linalg.Op: Apply is the synthesis (inverse)
