@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalPacket -fuzztime=10s -run=FuzzUnmarshalPacket ./internal/core
 	$(GO) test -fuzz=FuzzParseBundle -fuzztime=10s -run=FuzzParseBundle ./internal/blackbox
 	$(GO) test -fuzz=FuzzFISTAStepDecisions -fuzztime=10s -run=FuzzFISTAStepDecisions ./internal/solver
+	$(GO) test -fuzz=FuzzDecodeMatchesSerial -fuzztime=10s -run=FuzzDecodeMatchesSerial ./internal/huffman
 
 # replay-smoke closes the incident-forensics loop end to end: run the
 # chaos matrix with the flight recorder sealing diagnostics bundles,
@@ -165,6 +166,6 @@ experiments-output:
 # perf-gate runs the paired stream-benchmark gate of the working tree
 # against BASE (make perf-gate BASE=origin/main) and writes its JSON
 # summary to .bench_build/perf-gate/summary.json; see
-# scripts/perf-gate.sh. About 5 minutes on 2 vCPUs.
+# scripts/perf-gate.sh. About 7 minutes on 2 vCPUs.
 perf-gate:
 	bash scripts/perf-gate.sh $(BASE)

@@ -11,6 +11,7 @@
 package huffman
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -57,11 +58,15 @@ func (w *BitWriter) Bytes() []byte {
 // Reset clears the writer for reuse.
 func (w *BitWriter) Reset() { w.buf, w.cur, w.nbit = w.buf[:0], 0, 0 }
 
-// BitReader consumes bits MSB-first from a byte slice.
+// BitReader consumes bits MSB-first from a byte slice through a 64-bit
+// window: peek tops the window up with one word load when it runs low
+// and skip shifts consumed bits out, so neither a field read nor a
+// codeword loops over single bits.
 type BitReader struct {
-	buf []byte
-	pos int  // next byte index
-	cur uint // bit position within buf[pos] (0 = MSB)
+	buf  []byte
+	next int    // index of the first byte not yet loaded into win
+	win  uint64 // the unread bits, left-aligned
+	nwin uint   // how many leading bits of win are unread bits of buf
 }
 
 // NewBitReader wraps data for reading.
@@ -70,32 +75,57 @@ func NewBitReader(data []byte) *BitReader { return &BitReader{buf: data} }
 // ErrOutOfBits is returned when a read runs past the end of the buffer.
 var ErrOutOfBits = errors.New("huffman: out of bits")
 
-// ReadBit returns the next bit.
-func (r *BitReader) ReadBit() (uint32, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrOutOfBits
+// peek returns the window and the number of unread bits at its head, at
+// least need (≤ 32) unless fewer remain in the buffer. Past the head the
+// window holds the stream's next bits or zeros, and only zeros once the
+// buffer is used up.
+func (r *BitReader) peek(need uint) (uint64, uint) {
+	if r.nwin < need {
+		r.fill()
 	}
-	b := (r.buf[r.pos] >> (7 - r.cur)) & 1
-	r.cur++
-	if r.cur == 8 {
-		r.cur = 0
-		r.pos++
+	return r.win, r.nwin
+}
+
+// fill loads whole bytes behind the unread bits: at least 56 unread
+// bits follow, or all that remain. A full word load may also set bits
+// past the last whole byte; they are the stream's next bits, which the
+// following fill ORs in again. It stays out of line so that peek, run
+// once per codeword, inlines.
+//
+//go:noinline
+func (r *BitReader) fill() {
+	if tail := r.buf[r.next:]; len(tail) >= 8 {
+		r.win |= binary.BigEndian.Uint64(tail) >> r.nwin
+		k := (63 - r.nwin) >> 3
+		r.next += int(k)
+		r.nwin += 8 * k
+		return
 	}
-	return uint32(b), nil
+	for ; r.nwin <= 56 && r.next < len(r.buf); r.next++ {
+		r.win |= uint64(r.buf[r.next]) << (56 - r.nwin)
+		r.nwin += 8
+	}
+}
+
+// skip consumes n bits; n must not exceed the count peek reports, which
+// is below 64, so the mask only spares the shift its ≥ 64 guard.
+func (r *BitReader) skip(n uint) {
+	r.win <<= n & 63
+	r.nwin -= n
 }
 
 // ReadBits returns the next width bits, MSB-first. width must be ≤ 32.
+// A read past the end returns ErrOutOfBits and leaves the reader at the
+// end of the buffer.
 func (r *BitReader) ReadBits(width uint) (uint32, error) {
 	if width > 32 {
 		return 0, fmt.Errorf("huffman: ReadBits width %d > 32", width)
 	}
-	var v uint32
-	for i := uint(0); i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | b
+	w, avail := r.peek(width)
+	if width > avail {
+		r.skip(avail)
+		return 0, ErrOutOfBits
 	}
-	return v, nil
+	r.skip(width)
+	return uint32(w >> (64 - width)), nil
 }

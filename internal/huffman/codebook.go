@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -10,12 +11,33 @@ import (
 // mote stores each codeword in one uint16.
 const MaxCodeLen = 16
 
+// tableBits is the index width of the decode table: every codeword of at
+// most tableBits bits decodes with one lookup of the next tableBits bits.
+// The default codebook gives its 141 shortest codewords (5–10 bits) to
+// the differences nearest zero, the bulk of every delta frame.
+const tableBits = 10
+
+// tableEntry is one slot of the decode table: the symbol whose codeword
+// prefixes the slot's index, and that codeword's length. Length 0 marks
+// an index no codeword of at most tableBits bits prefixes.
+type tableEntry struct {
+	sym    uint16
+	length uint8
+}
+
+// errInvalidCodeword is returned when MaxCodeLen bits match no codeword,
+// which only an incomplete code can produce.
+var errInvalidCodeword = errors.New("huffman: invalid codeword")
+
 // Codebook is a canonical, length-limited Huffman code over symbols
 // 0..NumSymbols−1. The zero value is unusable; build with Train or
 // Deserialize.
 type Codebook struct {
 	lengths []uint8  // per-symbol codeword lengths (0 = never coded)
 	codes   []uint16 // per-symbol canonical codewords, right-aligned
+	// table resolves every codeword of at most tableBits bits in one
+	// lookup; the canonical tables below finish the longer ones.
+	table [1 << tableBits]tableEntry
 	// Canonical decode tables, one entry per length 1..MaxCodeLen. The
 	// counters are int, not int32: a full 2¹⁶-symbol alphabet of
 	// 16-bit codes makes countByLen[16] = 65536, and the old int32
@@ -85,6 +107,12 @@ func fromLengths(lengths []int) (*Codebook, error) {
 		cb.codes[e.sym] = uint16(code)
 		cb.symByCode[idx] = uint16(e.sym)
 		cb.countByLen[e.length]++
+		if e.length <= tableBits {
+			lo := code << uint(tableBits-e.length)
+			for i := lo; i < lo+1<<uint(tableBits-e.length); i++ {
+				cb.table[i] = tableEntry{sym: uint16(e.sym), length: uint8(e.length)}
+			}
+		}
 		code++
 	}
 	// Decode tables: first canonical code and start index per length.
@@ -127,26 +155,52 @@ func (cb *Codebook) Encode(w *BitWriter, s int) error {
 	return nil
 }
 
-// Decode reads one symbol from r using the canonical decode tables
-// (at most MaxLen bit reads, no tree walk).
+// Decode reads one symbol from r. It peeks at the next bits once: a
+// codeword of at most tableBits bits resolves with one table lookup, and
+// a longer one against the canonical tables on the same MaxCodeLen bits,
+// with no further read.
+//
+// It returns ErrOutOfBits when the codeword runs past the end of the
+// stream, or when no codeword matches the fewer than MaxCodeLen bits
+// left, and an invalid-codeword error when MaxCodeLen bits match none.
+// On an error the reader stands where a bit-at-a-time decode stops: at
+// the end of the stream, or MaxCodeLen bits on.
 func (cb *Codebook) Decode(r *BitReader) (int, error) {
-	var code uint32
-	for l := 1; l <= MaxCodeLen; l++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | b
+	w, avail := r.peek(MaxCodeLen)
+	var n uint
+	var sym int
+	if e := cb.table[w>>(64-tableBits)]; e.length != 0 {
+		n, sym = uint(e.length), int(e.sym)
+	} else {
+		n, sym = cb.decodeLong(uint32(w >> (64 - MaxCodeLen)))
+	}
+	switch {
+	case n == 0 && avail >= MaxCodeLen:
+		r.skip(MaxCodeLen)
+		return 0, errInvalidCodeword
+	case n == 0 || n > avail:
+		r.skip(avail)
+		return 0, ErrOutOfBits
+	}
+	r.skip(n)
+	return sym, nil
+}
+
+// decodeLong matches the codewords longer than tableBits against the
+// next MaxCodeLen bits, shortest first. It returns the codeword's length
+// and symbol, or length 0 when none matches.
+func (cb *Codebook) decodeLong(bits uint32) (uint, int) {
+	for l := tableBits + 1; l <= MaxCodeLen; l++ {
 		cnt := cb.countByLen[l]
 		if cnt == 0 {
 			continue
 		}
-		offset := int64(code) - int64(cb.firstCode[l])
+		offset := int64(bits>>uint(MaxCodeLen-l)) - int64(cb.firstCode[l])
 		if offset >= 0 && offset < int64(cnt) {
-			return int(cb.symByCode[cb.firstIndex[l]+int(offset)]), nil
+			return uint(l), int(cb.symByCode[cb.firstIndex[l]+int(offset)])
 		}
 	}
-	return 0, fmt.Errorf("huffman: invalid codeword")
+	return 0, 0
 }
 
 // serialization layout (all little-endian):

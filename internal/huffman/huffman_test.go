@@ -1,8 +1,10 @@
 package huffman
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -69,7 +71,7 @@ func TestBitReaderExhaustion(t *testing.T) {
 	if _, err := r.ReadBits(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadBit(); err != ErrOutOfBits {
+	if _, err := r.ReadBits(1); err != ErrOutOfBits {
 		t.Fatalf("expected ErrOutOfBits, got %v", err)
 	}
 }
@@ -373,20 +375,36 @@ func TestEncodeUnknownSymbol(t *testing.T) {
 	}
 }
 
+// TestDecodeGarbage decodes an incomplete code: lengths 1 and 3 give
+// the codewords 0 and 100, so no codeword starts with 101 or 11. Sixteen
+// bits that match nothing must be rejected as an invalid codeword, not
+// decoded, and a stream that ends inside a codeword must run out of
+// bits.
 func TestDecodeGarbage(t *testing.T) {
-	// A codebook that doesn't cover all 16-bit prefixes must reject
-	// garbage rather than loop.
-	cb, err := Train([]int{1000, 1, 1})
+	cb, err := fromLengths([]int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = cb
-	// All-ones stream will eventually hit an invalid prefix or run out.
-	r := NewBitReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	for i := 0; i < 40; i++ {
-		if _, err := cb.Decode(r); err != nil {
-			return // expected: either invalid codeword or out of bits
+	for _, data := range [][]byte{{0xFF, 0xFF}, {0xFF, 0xFF, 0xFF, 0xFF}, {0xA0, 0x00}} {
+		s, err := cb.Decode(NewBitReader(data))
+		if err == nil || errors.Is(err, ErrOutOfBits) || !strings.Contains(err.Error(), "invalid codeword") {
+			t.Errorf("% x: got symbol %d, error %v; want an invalid-codeword error", data, s, err)
 		}
+	}
+	// 0000001|0: six 0 codewords, then the first two bits of 100.
+	r := NewBitReader([]byte{0x02})
+	for i := 0; i < 6; i++ {
+		if s, err := cb.Decode(r); err != nil || s != 0 {
+			t.Fatalf("symbol %d: got %d, %v; want 0", i, s, err)
+		}
+	}
+	if s, err := cb.Decode(r); !errors.Is(err, ErrOutOfBits) {
+		t.Errorf("cut codeword: got symbol %d, error %v; want ErrOutOfBits", s, err)
+	}
+	// Fewer than 16 bits that match nothing run out before they can be
+	// called invalid.
+	if s, err := cb.Decode(NewBitReader([]byte{0xFF})); !errors.Is(err, ErrOutOfBits) {
+		t.Errorf("short garbage: got symbol %d, error %v; want ErrOutOfBits", s, err)
 	}
 }
 
