@@ -105,13 +105,18 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMatchesSerial -fuzztime=10s -run=FuzzDecodeMatchesSerial ./internal/huffman
 
 # replay-smoke closes the incident-forensics loop end to end: run the
-# chaos matrix with the flight recorder sealing diagnostics bundles,
-# then replay every sealed bundle through the real receiver + solver
-# stack and fail on any divergence from the record (DESIGN.md §13).
+# chaos matrix twice with the flight recorder sealing diagnostics
+# bundles, fail unless the two runs sealed the same bundle files byte
+# for byte (the harness reads no wall clock), then replay every sealed
+# bundle through the real receiver + solver stack and fail on any
+# divergence from the record (DESIGN.md §13).
 replay-smoke:
-	rm -rf bundles-smoke
+	rm -rf bundles-smoke bundles-smoke-2
 	$(GO) run ./cmd/csecg-bench -exp chaos -short -record-dir bundles-smoke
+	$(GO) run ./cmd/csecg-bench -exp chaos -short -record-dir bundles-smoke-2
 	@ls bundles-smoke/*.jsonl >/dev/null 2>&1 || { echo "replay-smoke: chaos run sealed no bundles"; exit 1; }
+	@test "$$(cd bundles-smoke && ls)" = "$$(cd bundles-smoke-2 && ls)" || { echo "replay-smoke: the two chaos runs sealed different bundle sets"; exit 1; }
+	@for f in bundles-smoke/*.jsonl; do cmp "$$f" "bundles-smoke-2/$${f#bundles-smoke/}" || exit 1; done
 	$(GO) run ./cmd/csecg-replay -v bundles-smoke/*.jsonl
 
 # triage-smoke closes the latency-attribution loop: run the burst-loss

@@ -62,8 +62,8 @@ func main() {
 			if rep.Complete {
 				mode = "complete"
 			}
-			fmt.Printf("%s: OK session=%s cause=%s mode=%s windows=%d compared=%d rung-skipped=%d\n",
-				path, rep.Session, rep.Cause, mode, rep.Windows, rep.Compared, rep.RungSkipped)
+			fmt.Printf("%s: OK session=%s cause=%s mode=%s windows=%d compared=%d\n",
+				path, rep.Session, rep.Cause, mode, rep.Windows, rep.Compared)
 		default:
 			fmt.Printf("%s: DIVERGED session=%s cause=%s compared=%d missing=%d divergences=%d\n",
 				path, rep.Session, rep.Cause, rep.Compared, rep.Missing, len(rep.Divergences))

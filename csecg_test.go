@@ -248,6 +248,26 @@ func TestRunStreamClockDriftSlipsWindows(t *testing.T) {
 	}
 }
 
+// TestRunStreamZeroBitrateKeepsLinkFaults: a Link that sets only its
+// faults takes the default bitrate and overhead and keeps the faults,
+// so the session loses frames at the same drop rate as one configured
+// from DefaultLinkConfig.
+func TestRunStreamZeroBitrateKeepsLinkFaults(t *testing.T) {
+	full := DefaultLinkConfig()
+	full.DropProb = 0.3
+	var dropped [2]int64
+	for i, l := range []LinkConfig{{DropProb: 0.3}, full} {
+		rep, err := RunStream(StreamConfig{Seconds: 40, Params: Params{Seed: 1}, Link: l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropped[i] = rep.LinkStats.Dropped
+	}
+	if dropped[0] == 0 || dropped[0] != dropped[1] {
+		t.Fatalf("dropped %d frames with a zero bitrate, %d with the default one; want equal and nonzero", dropped[0], dropped[1])
+	}
+}
+
 func TestMoteSurface(t *testing.T) {
 	m, err := NewMote(Params{Seed: 1})
 	if err != nil {

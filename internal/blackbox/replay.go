@@ -13,18 +13,18 @@
 //     it exactly), and demands bit-for-bit equality on every recorded
 //     field — rung, iterations, residual norm, EstPRDN, modeled time.
 //
-//   - Wrapped bundles start mid-stream: the degradation ladder's rung,
-//     the transport gap-rate ring that feeds EstPRDN, and the decoder's
-//     cross-window state (difference frames decode against the previous
-//     window) depend on history the bundle no longer holds. Replay
-//     resumes the receiver at the first recorded frame, aligns windows
-//     by sequence number, and on windows where the replayed ladder rung
-//     matches the recorded one demands the entropy-decode observables
-//     (escape count) and convergence verdict bit-for-bit and the final
-//     residual within a 5 % relative tolerance — the re-seeded warm
-//     start perturbs the solve trajectory, so iteration counts and the
-//     residual's low bits are not reproducible from a partial stream.
-//     The rest are counted, not failed.
+//   - Wrapped bundles start mid-stream: the transport gap-rate ring
+//     that feeds EstPRDN and the decoder's cross-window state
+//     (difference frames decode against the previous window) depend on
+//     history the bundle no longer holds. Replay resumes the receiver
+//     at the first recorded frame, aligns windows by sequence number,
+//     and demands the rung (a function of the solver costs alone), the
+//     entropy-decode observables (escape count) and the convergence
+//     verdict bit-for-bit and the final residual within a 5 % relative
+//     tolerance — the re-seeded warm start perturbs the solve
+//     trajectory, so iteration counts and the residual's low bits are
+//     not reproducible from a partial stream. Recorded windows the
+//     replay never reached are counted, not failed.
 //
 // Either way a session flagged unreproducible (solver costs perturbed
 // mid-run) is skipped, not diffed — the frames alone cannot reproduce
@@ -92,14 +92,13 @@ type ReplayReport struct {
 	SkipReason string `json:"skip_reason,omitempty"`
 	// Windows is the recorded window count; Compared how many were
 	// diffed; Missing how many the replay never produced (a failure in
-	// complete mode); NotReplayed / RungSkipped count wrapped-mode
-	// windows outside the comparable region; Extra the replayed
-	// windows with no recorded counterpart (informational).
+	// complete mode); NotReplayed counts wrapped-mode windows the
+	// resumed replay never produced; Extra the replayed windows with no
+	// recorded counterpart (informational).
 	Windows     int `json:"windows"`
 	Compared    int `json:"compared"`
 	Missing     int `json:"missing,omitempty"`
 	NotReplayed int `json:"not_replayed,omitempty"`
-	RungSkipped int `json:"rung_skipped,omitempty"`
 	Extra       int `json:"extra,omitempty"`
 
 	Divergences []Divergence `json:"divergences,omitempty"`
@@ -238,8 +237,7 @@ func diffComplete(rep *ReplayReport, want, got []coordinator.WindowCapture) {
 }
 
 // diffWrapped aligns by sequence number and compares only the fields a
-// mid-stream resume can reproduce, and only where the ladder rung
-// matches.
+// mid-stream resume can reproduce.
 func diffWrapped(rep *ReplayReport, want, got []coordinator.WindowCapture) {
 	used := make([]bool, len(got))
 	for _, w := range want {
@@ -255,14 +253,10 @@ func diffWrapped(rep *ReplayReport, want, got []coordinator.WindowCapture) {
 			continue
 		}
 		used[idx] = true
-		if got[idx].Rung != w.Rung {
-			rep.RungSkipped++
-			continue
-		}
 		rep.Compared++
 		diffWindow(rep, w, got[idx], false)
 	}
-	rep.Extra = len(got) - (rep.Compared + rep.RungSkipped)
+	rep.Extra = len(got) - rep.Compared
 }
 
 // diffWindow appends a divergence per unequal field. Full mode covers
@@ -301,6 +295,7 @@ func diffWindow(rep *ReplayReport, w, g coordinator.WindowCapture, full bool) {
 	if w.Seq != g.Seq {
 		miss("seq", strconv.FormatUint(uint64(w.Seq), 10), strconv.FormatUint(uint64(g.Seq), 10))
 	}
+	eqI("rung", int(w.Rung), int(g.Rung))
 	eqI("escape_count", w.EscapeCount, g.EscapeCount)
 	eqB("converged", w.Converged, g.Converged)
 	if !full {
@@ -310,7 +305,6 @@ func diffWindow(rep *ReplayReport, w, g coordinator.WindowCapture, full bool) {
 	eqI("iterations", w.Iterations, g.Iterations)
 	eqF("residual_norm", w.ResidualNorm, g.ResidualNorm)
 	eqI("slot", w.Slot, g.Slot)
-	eqI("rung", int(w.Rung), int(g.Rung))
 	eqB("deadline_expired", w.DeadlineExpired, g.DeadlineExpired)
 	eqB("degraded", w.Degraded, g.Degraded)
 	eqF("est_prdn", w.EstPRDN, g.EstPRDN)

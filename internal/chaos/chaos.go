@@ -37,8 +37,8 @@ type Scenario struct {
 
 	// Link carries the channel faults of the data downlink: BitFlipProb,
 	// DropProb, Burst and ClockDriftPPM. A zero EffectiveBitrate takes
-	// link.DefaultConfig's rate and overhead; Seed is replaced by the
-	// scenario's.
+	// link.DefaultConfig's rate and overhead (session.Config); Seed is
+	// replaced by the scenario's.
 	Link link.Config
 
 	// Transport carries the receiver pressure: QueueLimit bounds the
@@ -203,10 +203,6 @@ func Run(sc Scenario) (*Report, error) {
 	params := core.Params{Seed: 0x31, M: 64, N: 128, WaveletLevels: 3, KeyFrameInterval: 8}
 	window := time.Duration(float64(params.N) / core.FsMote * float64(time.Second))
 	lcfg := sc.Link
-	if lcfg.EffectiveBitrate == 0 {
-		def := link.DefaultConfig()
-		lcfg.EffectiveBitrate, lcfg.OverheadBytes = def.EffectiveBitrate, def.OverheadBytes
-	}
 	lcfg.Seed = sc.Seed
 	rg := rng.New(sc.Seed ^ 0xEC6)
 	cfg := session.Config{
@@ -215,6 +211,7 @@ func Run(sc Scenario) (*Report, error) {
 		Link:      lcfg,
 		Transport: sc.Transport,
 		Spans:     sc.Spans,
+		Clock:     telemetry.NewManualClock(0),
 		Faults:    sc.Faults,
 		Slots:     sc.Windows,
 		Window:    func(w int) []int16 { return synthWindow(w, params.N, rg) },

@@ -41,7 +41,7 @@ func TestWarmDecodeAllocsIndependentOfIterations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec.baseMaxIter = iters
+		dec.dec.SolverOptions.MaxIter = iters
 		dec.dec.SolverOptions.Tol = -1
 		if _, err := dec.Decode(pkts[0]); err != nil {
 			t.Fatal(err)

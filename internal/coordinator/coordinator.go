@@ -163,9 +163,9 @@ type RealTimeDecoder struct {
 	packets      int64
 
 	// baseMaxIter is the nominal (RungNominal) iteration budget; the
-	// degradation ladder divides it per rung.
+	// rung divides it.
 	baseMaxIter int
-	lad         ladder
+	rung        Rung
 
 	met       *decoderMetrics
 	clock     telemetry.Clock
@@ -191,20 +191,34 @@ func NewRealTimeDecoder(p core.Params, mode Mode) (*RealTimeDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	costs := DefaultCosts()
-	dec.SolverOptions.MaxIter = costs.IterationBudget(dec.Params(), mode)
-	return &RealTimeDecoder{dec: dec, costs: costs, mode: mode, baseMaxIter: dec.SolverOptions.MaxIter}, nil
+	r := &RealTimeDecoder{dec: dec, mode: mode,
+		baseMaxIter: DefaultCosts().IterationBudget(dec.Params(), mode)}
+	r.SetCosts(DefaultCosts())
+	return r, nil
 }
 
 // SetCosts overrides the cycle-cost calibration — the session loop's
 // Slowdown fault models a slowed CPU (thermal throttling, contention)
-// this way. The iteration budget is left at the nominal calibration, so
-// a slowdown makes decodes miss their modeled deadline and engages the
-// degradation ladder.
-func (r *RealTimeDecoder) SetCosts(c CostModel) { r.costs = c }
+// this way — and sets the rung from it: the first of 1, 1/2 and 1/4 of
+// the nominal iteration budget that fits the budget the new costs allow
+// (rungFor). Under a slowdown beyond 4× the quarter budget no longer
+// fits, and decodes miss their modeled deadline.
+func (r *RealTimeDecoder) SetCosts(c CostModel) {
+	r.costs = c
+	rung := rungFor(c, r.dec.Params(), r.mode, r.baseMaxIter)
+	r.dec.SolverOptions.MaxIter = max(r.baseMaxIter/iterDiv[rung], 1)
+	if rung == r.rung {
+		return
+	}
+	r.rung = rung
+	if r.met != nil {
+		r.met.rungShifts.Inc()
+		r.met.rung.Set(int64(rung))
+	}
+}
 
 // Rung returns the degradation ladder's current rung.
-func (r *RealTimeDecoder) Rung() Rung { return r.lad.rung }
+func (r *RealTimeDecoder) Rung() Rung { return r.rung }
 
 // Instrument attaches session telemetry. The clock times the actual
 // host-side solve (nil → telemetry.WallClock); inject a ManualClock for
@@ -230,8 +244,9 @@ func (r *RealTimeDecoder) Instrument(reg *telemetry.Registry, clock telemetry.Cl
 		solveWallNs:    reg.Histogram("coordinator_solve_wall_ns"),
 	}
 	reg.SetHelp("coordinator_degraded_windows_total", "windows released with reduced-quality reconstruction (ladder rung > nominal or solver deadline cut)")
-	reg.SetHelp("coordinator_rung_shifts_total", "degradation ladder transitions in either direction")
-	reg.SetHelp("coordinator_degradation_rung", "current ladder rung: 0 nominal, 1 reduced-iter, 2 gpsr, 3 best-effort")
+	reg.SetHelp("coordinator_rung_shifts_total", "degradation ladder transitions in either direction, set by the cost model")
+	reg.SetHelp("coordinator_degradation_rung", "current ladder rung: 0 nominal (fista/1), 1 reduced-iter (fista/2), 2 best-effort (fista/4)")
+	r.met.rung.Set(int64(r.rung))
 }
 
 // EnableIterationTrace makes every decode collect the solver's
@@ -278,14 +293,6 @@ func (r *RealTimeDecoder) Decode(pkt *core.Packet) (*Result, error) {
 	if r.iterTrace {
 		r.curTrace = r.curTrace[:0]
 	}
-	rung := r.lad.rung
-	s := rungSettings[rung]
-	r.dec.Algorithm = s.algo
-	if iter := r.baseMaxIter / s.iterDiv; iter >= 1 {
-		r.dec.SolverOptions.MaxIter = iter
-	} else {
-		r.dec.SolverOptions.MaxIter = 1
-	}
 	var start int64
 	if r.met != nil {
 		start = r.clock.Now()
@@ -310,13 +317,12 @@ func (r *RealTimeDecoder) Decode(pkt *core.Packet) (*Result, error) {
 		ModeledTime:  modeled,
 		CPUUsage:     modeled.Seconds() / period,
 		Deadline:     modeled <= RealTimeBudget(r.dec.Params()),
-		Rung:         rung,
+		Rung:         r.rung,
 	}
-	out.Degraded = rung != RungNominal || res.DeadlineExpired
+	out.Degraded = r.rung != RungNominal || res.DeadlineExpired
 	if r.iterTrace && len(r.curTrace) > 0 {
 		out.IterTrace = append([]solver.IterSample(nil), r.curTrace...)
 	}
-	shifted := r.lad.observe(out.Deadline)
 	if r.met != nil {
 		r.met.decodes.Inc()
 		if !out.Deadline {
@@ -325,10 +331,6 @@ func (r *RealTimeDecoder) Decode(pkt *core.Packet) (*Result, error) {
 		if out.Degraded {
 			r.met.degraded.Inc()
 		}
-		if shifted {
-			r.met.rungShifts.Inc()
-		}
-		r.met.rung.Set(int64(r.lad.rung))
 		r.met.iterations.Observe(int64(res.Iterations))
 		r.met.modeledNs.Observe(int64(modeled))
 		r.met.solveWallNs.Observe(int64(wall))

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"csecg/internal/core"
+	"csecg/internal/ecg"
+	"csecg/internal/metrics"
+	"csecg/internal/solver"
 	"csecg/internal/telemetry"
 )
 
@@ -190,15 +193,19 @@ func TestMoteRebootResync(t *testing.T) {
 	}
 }
 
-// TestDegradationLadderEngagesAndRecovers models a 2× CPU slowdown: the
-// decoder must walk down the ladder (missed modeled deadlines), flag
-// windows Degraded, then climb back to nominal once the slowdown ends.
-func TestDegradationLadderEngagesAndRecovers(t *testing.T) {
+// TestDegradationLadderFollowsCosts models CPU slowdowns: SetCosts puts
+// the decoder on the first rung whose iteration cap fits the slowed
+// budget — half the budget at 2×, a quarter at 4×, the quarter floor
+// beyond — flags those windows Degraded, counts each rung change once,
+// and returns to nominal as soon as the slowdown ends.
+func TestDegradationLadderFollowsCosts(t *testing.T) {
 	params := core.Params{Seed: 0x31, M: 64, N: 128, WaveletLevels: 3, KeyFrameInterval: 4}
 	dec, err := NewRealTimeDecoder(params, VFP)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := telemetry.NewRegistry()
+	dec.Instrument(reg, telemetry.NewManualClock(0))
 	// Pin the iteration count at the full budget so the modeled time
 	// tracks the cost model exactly (Tol off: every decode runs MaxIter).
 	tun, err := dec.SolverTuning()
@@ -226,38 +233,154 @@ func TestDegradationLadderEngagesAndRecovers(t *testing.T) {
 		}
 		return res
 	}
-	if res := decode(); res.Degraded || dec.Rung() != RungNominal {
-		t.Fatalf("nominal costs already degraded: rung %v", dec.Rung())
+	base := dec.IterationBudget()
+	slowed := func(x float64) CostModel {
+		c := DefaultCosts()
+		c.VFPCyclesPerMAC *= x
+		c.NEONCyclesPerMAC *= x
+		return c
 	}
-	// 2× slowdown: full-budget decodes now model 2 s against the 1 s
-	// budget; two consecutive misses escalate.
-	slow := DefaultCosts()
-	slow.VFPCyclesPerMAC *= 2
-	slow.NEONCyclesPerMAC *= 2
-	dec.SetCosts(slow)
-	var reachedRung Rung
-	for i := 0; i < 6; i++ {
-		res := decode()
-		if res.Rung > reachedRung {
-			reachedRung = res.Rung
+	for _, tc := range []struct {
+		slowdown float64
+		rung     Rung
+		deadline bool
+	}{
+		{1, RungNominal, true},
+		{2, RungReducedIter, true},
+		{4, RungBestEffort, true},
+		{8, RungBestEffort, false}, // past the floor: decodes miss
+		{1, RungNominal, true},
+	} {
+		dec.SetCosts(slowed(tc.slowdown))
+		if dec.Rung() != tc.rung {
+			t.Fatalf("%v× slowdown: rung %v, want %v", tc.slowdown, dec.Rung(), tc.rung)
 		}
-		if res.Rung != RungNominal && !res.Degraded {
-			t.Fatalf("off-nominal rung %v not flagged Degraded", res.Rung)
+		if got, want := dec.IterationBudget(), base/iterDiv[tc.rung]; got != want {
+			t.Fatalf("%v× slowdown: iteration cap %d, want %d", tc.slowdown, got, want)
+		}
+		for i := 0; i < 3; i++ {
+			res := decode()
+			if res.Rung != tc.rung {
+				t.Fatalf("%v× slowdown: decoded at %v, want %v", tc.slowdown, res.Rung, tc.rung)
+			}
+			if res.Degraded != (tc.rung != RungNominal) || res.Deadline != tc.deadline {
+				t.Fatalf("%v× slowdown: degraded %v deadline %v", tc.slowdown, res.Degraded, res.Deadline)
+			}
 		}
 	}
-	if reachedRung == RungNominal {
-		t.Fatal("2x slowdown never engaged the ladder")
+	// nominal → reduced → best-effort → (8×: unchanged) → nominal.
+	if got := reg.Counter("coordinator_rung_shifts_total").Load(); got != 3 {
+		t.Fatalf("coordinator_rung_shifts_total = %d, want 3", got)
 	}
-	// At the settled rung the halved budget fits the slowed model again,
-	// and recovery must follow once the slowdown ends.
-	dec.SetCosts(DefaultCosts())
-	for i := 0; i < 3*deescalateAfterHits*int(numRungs); i++ {
-		if decode(); dec.Rung() == RungNominal {
-			break
+	if got := reg.Counter("coordinator_deadline_misses_total").Load(); got != 3 {
+		t.Fatalf("coordinator_deadline_misses_total = %d, want 3", got)
+	}
+}
+
+// TestFloorRungQualityNotWorseThanGPSR checks the fista/4 floor against
+// GPSR at the same quarter budget, on the same warm windows of a
+// database record at the paper's CR 50: mean PRDN must be no worse.
+func TestFloorRungQualityNotWorseThanGPSR(t *testing.T) {
+	p := core.Params{Seed: 1, M: metrics.MForCR(50, core.WindowSize)}
+	const windows = 12
+	rec, err := ecg.RecordByID("100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := rec.Channel256(float64(windows*core.WindowSize)/core.FsMote, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meanPRDN := func(algo solver.Algorithm) float64 {
+		t.Helper()
+		enc, err := core.NewEncoder(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := NewRealTimeDecoder(p, VFP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow := DefaultCosts()
+		slow.VFPCyclesPerMAC *= 4
+		dec.SetCosts(slow)
+		if dec.Rung() != RungBestEffort {
+			t.Fatalf("4× slowdown: rung %v", dec.Rung())
+		}
+		inner, err := dec.SolverTuning()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner.Algorithm = algo
+		var sum float64
+		for w := 0; w < windows; w++ {
+			win := samples[w*core.WindowSize : (w+1)*core.WindowSize]
+			pkt, err := enc.EncodeWindow(win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dec.Decode(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w == 0 {
+				continue // cold start
+			}
+			orig := make([]float64, len(win))
+			reco := make([]float64, len(win))
+			for i := range win {
+				orig[i], reco[i] = float64(win[i]), float64(res.Samples[i])
+			}
+			prdn, err := metrics.PRDN(orig, reco)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += prdn
+		}
+		return sum / (windows - 1)
+	}
+	fista, gpsr := meanPRDN(solver.AlgoFISTA), meanPRDN(solver.AlgoGPSR)
+	t.Logf("quarter-budget mean PRDN: fista %.2f %%, gpsr %.2f %%", fista, gpsr)
+	if fista > gpsr {
+		t.Fatalf("fista/4 mean PRDN %.2f %% worse than gpsr/4 %.2f %%", fista, gpsr)
+	}
+}
+
+// TestDecodePanicRequestsKeyFrame: with the control channel on, a
+// contained decode panic makes the next EndSlot ask the mote for a key
+// frame, instead of riding out the failing deltas until the scheduled
+// one, and decoding resumes on the key frame that answers it.
+func TestDecodePanicRequestsKeyFrame(t *testing.T) {
+	enc, rx := survivalRig(t, 64, TransportConfig{NACK: true}, 2)
+	decoded := 0
+	var keyReqs int
+	for seq := 0; seq < 6; seq++ {
+		pkts := encodeN(t, enc, 1)
+		if seq == 3 && pkts[0].Kind != core.KindKey {
+			t.Fatalf("window %d is not the requested key frame", seq)
+		}
+		decoded += len(push(t, rx, pkts[0]))
+		ctrl, late := rx.EndSlot()
+		decoded += len(late)
+		for _, c := range ctrl {
+			if c.Kind != core.KindKeyRequest {
+				t.Fatalf("slot %d: control packet kind %d", seq, c.Kind)
+			}
+			if seq != 2 {
+				t.Fatalf("key request after window %d, want after the panic on window 2", seq)
+			}
+			keyReqs++
+			enc.ForceKeyFrame() // what the mote does on a key request
 		}
 	}
-	if dec.Rung() != RungNominal {
-		t.Fatalf("ladder stuck at %v after slowdown ended", dec.Rung())
+	st := rx.Stats()
+	if keyReqs != 1 || st.KeyRequestsSent != 1 {
+		t.Fatalf("%d key requests (%d counted), want 1", keyReqs, st.KeyRequestsSent)
+	}
+	// Windows 0 and 1 decode, 2 panics, and the requested key frame 3
+	// resynchronizes the deltas behind it.
+	if decoded != 5 || st.DecodePanics != 1 || st.DecodeFailures != 1 {
+		t.Fatalf("decoded %d windows with %d panics, want 5 and 1: %+v", decoded, st.DecodePanics, st)
 	}
 }
 
@@ -266,8 +389,8 @@ func TestDegradationLadderEngagesAndRecovers(t *testing.T) {
 func TestContainedPanicErrorNamesWindow(t *testing.T) {
 	enc, rx := survivalRig(t, 4, TransportConfig{}, 0)
 	pkts := encodeN(t, enc, 1)
-	res, err := rx.decodeContained(pkts[0])
-	if res != nil || err == nil || !strings.Contains(err.Error(), "window 0") {
+	res, panicked, err := rx.decodeContained(pkts[0])
+	if res != nil || !panicked || err == nil || !strings.Contains(err.Error(), "window 0") {
 		t.Fatalf("contained panic: res=%v err=%v", res, err)
 	}
 }

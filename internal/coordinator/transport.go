@@ -375,11 +375,13 @@ type Receiver struct {
 
 	// rec, when non-nil, is the black-box flight recorder tapping the
 	// receive path; ordinal counts decode attempts (the alignment key
-	// between bundle window records and scripted replay failures);
-	// panicked flags the last contained decode panic for the tap.
-	rec      FlightRecorder
-	ordinal  int64
-	panicked bool
+	// between bundle window records and scripted replay failures).
+	// keyWanted flags a contained decode panic since the last EndSlot:
+	// the deltas behind the lost window fail until a key frame, so with
+	// the control channel on EndSlot asks the mote for one.
+	rec       FlightRecorder
+	ordinal   int64
+	keyWanted bool
 	// traceSeed derives per-window causal trace IDs for WindowCapture
 	// (0 → untraced); spans, when set, is the session's span tracer.
 	traceSeed uint64
@@ -731,7 +733,7 @@ func (r *Receiver) pump() []Decoded {
 		r.decodesLeft--
 		ord := r.ordinal
 		r.ordinal++
-		res, err := r.decodeContained(pkt)
+		res, panicked, err := r.decodeContained(pkt)
 		if err != nil {
 			// In-order window the decoder still rejects (a delta behind
 			// an abandoned gap, desynchronized until the next key frame)
@@ -741,9 +743,9 @@ func (r *Receiver) pump() []Decoded {
 				r.met.failures.Inc()
 			}
 			if r.rec != nil {
-				r.rec.RecordDecodeFailure(r.slot, ord, pkt.Seq, r.panicked)
+				r.rec.RecordDecodeFailure(r.slot, ord, pkt.Seq, panicked)
 			}
-			r.panicked = false
+			r.keyWanted = r.keyWanted || panicked
 			r.bumpOutage(1)
 			r.noteLost(1)
 			continue
@@ -788,18 +790,18 @@ func (r *Receiver) pump() []Decoded {
 // converted to a decode failure, and the session continues. The decoder
 // may be left mid-update; the next key frame rebuilds its measurement
 // state from scratch, so containment needs no decoder cooperation.
-func (r *Receiver) decodeContained(pkt *core.Packet) (res *Result, err error) {
+func (r *Receiver) decodeContained(pkt *core.Packet) (res *Result, panicked bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.stats.DecodePanics++
-			r.panicked = true
 			if r.met != nil {
 				r.met.panics.Inc()
 			}
-			res, err = nil, fmt.Errorf("coordinator: decode panic on window %d: %v", pkt.Seq, p)
+			res, panicked, err = nil, true, fmt.Errorf("coordinator: decode panic on window %d: %v", pkt.Seq, p)
 		}
 	}()
-	return r.dec.Decode(pkt)
+	res, err = r.dec.Decode(pkt)
+	return res, false, err
 }
 
 // score attaches the ground-truth-free quality estimate to a released
@@ -923,7 +925,9 @@ func (r *Receiver) minBuffered() (uint32, bool) {
 // EndSlot marks the end of one window period: the mote has produced
 // (and the channel has delivered, dropped or delayed) exactly one more
 // window. It returns the control packets to send on the uplink, plus
-// any windows released by abandoning a hopeless gap.
+// any windows released by abandoning a hopeless gap. With the control
+// channel on, a decode panic contained since the last EndSlot adds a
+// key-frame request, unless the gap state machine sends one already.
 func (r *Receiver) EndSlot() ([]*core.Packet, []Decoded) {
 	before := r.Health()
 	defer func() { r.syncHealth(before) }()
@@ -938,9 +942,26 @@ func (r *Receiver) EndSlot() ([]*core.Packet, []Decoded) {
 	r.decodesLeft = r.cfg.DecodesPerSlot
 	released := r.pump()
 	r.closeGapIfCaughtUp()
+	ctrl, more := r.chaseGap()
+	released = append(released, more...)
+	if r.keyWanted {
+		r.keyWanted = false
+		if r.cfg.NACK && (len(ctrl) == 0 || ctrl[0].Kind != core.KindKeyRequest) {
+			ctrl = append(ctrl, r.keyRequest())
+		}
+	}
+	return ctrl, released
+}
+
+// chaseGap advances the stall episode's state machine by one slot: it
+// opens an episode when the receiver is behind, sends NACKs and then
+// key-frame requests with backoff, and abandons what cannot arrive. It
+// returns the control packets to send and the windows the abandonment
+// released.
+func (r *Receiver) chaseGap() ([]*core.Packet, []Decoded) {
 	if r.epoch+int(r.expected) >= r.slot && len(r.buf) == 0 {
 		// Fully caught up (gap already closed by drain).
-		return nil, released
+		return nil, nil
 	}
 	if r.gap == nil {
 		r.gap = &gapState{
@@ -959,12 +980,12 @@ func (r *Receiver) EndSlot() ([]*core.Packet, []Decoded) {
 		// No control channel: hold briefly for reordered late
 		// arrivals, then fall back to the scheduled key frame.
 		if r.slot-g.openedSlot+1 >= r.cfg.WaitWindows {
-			return nil, append(released, r.abandonBehindBuffer()...)
+			return nil, r.abandonBehindBuffer()
 		}
-		return nil, released
+		return nil, nil
 	}
 	if g.passive {
-		return nil, append(released, r.abandonBehindBuffer()...)
+		return nil, r.abandonBehindBuffer()
 	}
 	if ks, ok := r.earliestBufferedKey(); ok {
 		// A guaranteed resync point is already in hand. Give the last
@@ -972,12 +993,12 @@ func (r *Receiver) EndSlot() ([]*core.Packet, []Decoded) {
 		// history; once the NACK ladder is exhausted or the round
 		// expires, jumping to the key frame beats stalling the display.
 		if g.retries >= r.cfg.MaxRetries || r.slot >= g.nextRetry {
-			return nil, append(released, r.abandonTo(ks)...)
+			return nil, r.abandonTo(ks)
 		}
-		return nil, released
+		return nil, nil
 	}
 	if r.slot < g.nextRetry {
-		return nil, released
+		return nil, nil
 	}
 	if g.retries < r.cfg.MaxRetries {
 		g.retries++
@@ -987,22 +1008,28 @@ func (r *Receiver) EndSlot() ([]*core.Packet, []Decoded) {
 		if r.met != nil {
 			r.met.nacks.Inc()
 		}
-		return []*core.Packet{core.NewNack(r.expected, r.missingCount())}, released
+		return []*core.Packet{core.NewNack(r.expected, r.missingCount())}, nil
 	}
 	if g.keyRetries < r.cfg.MaxRetries {
 		g.keyRetries++
 		g.nextRetry = r.slot + g.backoff
 		g.backoff *= 2
-		r.stats.KeyRequestsSent++
-		if r.met != nil {
-			r.met.keyRequests.Inc()
-		}
-		return []*core.Packet{core.NewKeyRequest(r.expected)}, released
+		return []*core.Packet{r.keyRequest()}, nil
 	}
 	// Both request ladders exhausted (the control channel itself is
 	// too lossy): degrade gracefully to the scheduled key frame.
 	g.passive = true
-	return nil, append(released, r.abandonBehindBuffer()...)
+	return nil, r.abandonBehindBuffer()
+}
+
+// keyRequest counts and builds a request for the mote to promote its
+// next window to a key frame.
+func (r *Receiver) keyRequest() *core.Packet {
+	r.stats.KeyRequestsSent++
+	if r.met != nil {
+		r.met.keyRequests.Inc()
+	}
+	return core.NewKeyRequest(r.expected)
 }
 
 // abandonBehindBuffer abandons the missing windows in front of the

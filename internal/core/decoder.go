@@ -50,9 +50,8 @@ type Decoder[T linalg.Float] struct {
 	// windows rarely need it; cold key frames benefit).
 	ContinuationStages int
 	// Algorithm selects the recovery solver. The zero value is the
-	// paper's FISTA (with continuation per ContinuationStages); the
-	// coordinator's degradation ladder switches to AlgoGPSR under
-	// deadline pressure.
+	// paper's FISTA (with continuation per ContinuationStages), which
+	// every rung of the coordinator's degradation ladder runs.
 	Algorithm solver.Algorithm
 }
 

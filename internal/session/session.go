@@ -33,7 +33,8 @@ type Faults struct {
 	// Slowdown multiplies the coordinator's modeled cycle costs during
 	// the middle third of the session (≤ 1 = nominal). The solver
 	// tolerance is pinned off so every decode spends its full iteration
-	// budget — the worst-case window the ladder must absorb.
+	// budget — the worst-case window the ladder must absorb. The rung
+	// follows the modeled costs: 2× halves the iteration cap.
 	Slowdown float64
 
 	// BurstArrival delivers frames in batches of this many window
@@ -46,8 +47,9 @@ type Faults struct {
 	PanicEvery int
 }
 
-// Config describes one session. Link must be a complete link
-// configuration; the remaining fields follow csecg.StreamConfig.
+// Config describes one session. A Link with a zero EffectiveBitrate
+// takes link.DefaultConfig's rate and overhead and keeps its faults; the
+// remaining fields follow csecg.StreamConfig.
 type Config struct {
 	Params    core.Params
 	Mode      coordinator.Mode
@@ -182,6 +184,10 @@ func Run(cfg Config) (*Report, error) {
 	dec, err := coordinator.NewRealTimeDecoder(cfg.Params, cfg.Mode)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Link.EffectiveBitrate == 0 {
+		def := link.DefaultConfig()
+		cfg.Link.EffectiveBitrate, cfg.Link.OverheadBytes = def.EffectiveBitrate, def.OverheadBytes
 	}
 	lnk, err := link.New(cfg.Link)
 	if err != nil {

@@ -62,7 +62,7 @@ const (
 	// hands samples to the display.
 	StageReconstruct = "reconstruct"
 	// StageRungChange is a zero-duration marker leaf recorded when the
-	// degradation ladder moved between the previous decode and this one;
+	// degradation rung changed between the previous decode and this one;
 	// Span.Rung carries the new rung.
 	StageRungChange = "rung-change"
 )
@@ -73,8 +73,7 @@ const (
 const (
 	SolverStageFISTA1 = "fista/1"
 	SolverStageFISTA2 = "fista/2"
-	SolverStageGPSR2  = "gpsr/2"
-	SolverStageGPSR4  = "gpsr/4"
+	SolverStageFISTA4 = "fista/4"
 )
 
 // contStageNames are the names of FISTA continuation sub-stage spans
@@ -105,7 +104,7 @@ func SpanStages() []string {
 		StageEncodeWait, StageCSSample, StageDiff, StageHuffman, StageTX,
 		StageRetransmitWait, StageRetransmit, StageLinkTransit,
 		StageReassemble,
-		SolverStageFISTA1, SolverStageFISTA2, SolverStageGPSR2, SolverStageGPSR4,
+		SolverStageFISTA1, SolverStageFISTA2, SolverStageFISTA4,
 		StageReconstruct,
 	}
 }

@@ -113,8 +113,7 @@ type Report struct {
 var solverStages = map[string]bool{
 	telemetry.SolverStageFISTA1: true,
 	telemetry.SolverStageFISTA2: true,
-	telemetry.SolverStageGPSR2:  true,
-	telemetry.SolverStageGPSR4:  true,
+	telemetry.SolverStageFISTA4: true,
 }
 
 // describeStage spells a stage for the verdict ("solver stage fista/2"

@@ -121,17 +121,29 @@ func TestAnalyzeExcludesShed(t *testing.T) {
 }
 
 // TestSolverStageNamesPinned ties the coordinator's ladder to the
-// telemetry stage vocabulary: every rung's solver-stage name must be a
-// member of the closed histogram stage set, or its latency contribution
-// would silently vanish from csecg_window_stage_seconds.
+// telemetry stage vocabulary both ways: every rung's solver-stage name
+// must be a member of the closed histogram stage set, or its latency
+// contribution would silently vanish from csecg_window_stage_seconds,
+// and every solver stage triage knows must name a rung.
 func TestSolverStageNamesPinned(t *testing.T) {
 	known := map[string]bool{}
 	for _, s := range telemetry.SpanStages() {
 		known[s] = true
 	}
+	rungStages := map[string]bool{}
 	for r := coordinator.RungNominal; r <= coordinator.RungBestEffort; r++ {
-		if name := r.SolverStage(); !known[name] {
+		name := r.SolverStage()
+		if !known[name] {
 			t.Errorf("rung %d solver stage %q missing from telemetry.SpanStages()", r, name)
+		}
+		if rungStages[name] {
+			t.Errorf("rung %d repeats solver stage %q", r, name)
+		}
+		rungStages[name] = true
+	}
+	for name := range solverStages {
+		if !rungStages[name] {
+			t.Errorf("solver stage %q names no rung", name)
 		}
 	}
 }

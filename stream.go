@@ -23,8 +23,10 @@ type StreamConfig struct {
 	// Mode selects the coordinator build the cycle model prices. The
 	// zero value is ModeVFP, whose iteration budget is the smaller one.
 	Mode coordinator.Mode
-	// Link configures the data downlink (zero value → DefaultLinkConfig).
-	// A nonzero ClockDriftPPM makes the mote's clock run fast: once the
+	// Link configures the data downlink. A zero EffectiveBitrate takes
+	// DefaultLinkConfig's bitrate and overhead and keeps the channel
+	// faults (DropProb, BitFlipProb, Burst, ClockDriftPPM). A nonzero
+	// ClockDriftPPM makes the mote's clock run fast: once the
 	// accumulated skew crosses a window period, the mote encodes an
 	// extra window within that slot, so the record is consumed sooner
 	// (the report's LinkStats.DriftSkew carries the skew).
@@ -82,9 +84,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	}
 	if cfg.Seconds == 0 {
 		cfg.Seconds = 60
-	}
-	if cfg.Link.EffectiveBitrate == 0 {
-		cfg.Link = DefaultLinkConfig()
 	}
 	rec, err := RecordByID(cfg.RecordID)
 	if err != nil {
