@@ -109,7 +109,9 @@ fuzz-smoke:
 # bundles, fail unless the two runs sealed the same bundle files byte
 # for byte (the harness reads no wall clock), then replay every sealed
 # bundle through the real receiver + solver stack and fail on any
-# divergence from the record (DESIGN.md §13).
+# divergence from the record (DESIGN.md §13). A replay that compared
+# no window, or a skip for any cause but the slowdown scenarios'
+# perturbed solver costs, fails too: neither checked anything.
 replay-smoke:
 	rm -rf bundles-smoke bundles-smoke-2
 	$(GO) run ./cmd/csecg-bench -exp chaos -short -record-dir bundles-smoke
@@ -117,7 +119,10 @@ replay-smoke:
 	@ls bundles-smoke/*.jsonl >/dev/null 2>&1 || { echo "replay-smoke: chaos run sealed no bundles"; exit 1; }
 	@test "$$(cd bundles-smoke && ls)" = "$$(cd bundles-smoke-2 && ls)" || { echo "replay-smoke: the two chaos runs sealed different bundle sets"; exit 1; }
 	@for f in bundles-smoke/*.jsonl; do cmp "$$f" "bundles-smoke-2/$${f#bundles-smoke/}" || exit 1; done
-	$(GO) run ./cmd/csecg-replay -v bundles-smoke/*.jsonl
+	$(GO) run ./cmd/csecg-replay -v bundles-smoke/*.jsonl > bundles-smoke/replay.txt || { cat bundles-smoke/replay.txt; exit 1; }
+	@cat bundles-smoke/replay.txt
+	@! grep -q ' compared=0' bundles-smoke/replay.txt || { echo "replay-smoke: a replay compared no windows"; exit 1; }
+	@! grep ': SKIP ' bundles-smoke/replay.txt | grep -qvF '(solver costs perturbed mid-run (slowdown scenario))' || { echo "replay-smoke: a bundle was skipped for a cause other than the slowdown"; exit 1; }
 
 # triage-smoke closes the latency-attribution loop: run the burst-loss
 # chaos matrix with causal span tracing, pipe the trace JSONL into

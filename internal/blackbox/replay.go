@@ -24,7 +24,9 @@
 //     tolerance — the re-seeded warm start perturbs the solve
 //     trajectory, so iteration counts and the residual's low bits are
 //     not reproducible from a partial stream. Recorded windows the
-//     replay never reached are counted, not failed.
+//     replay never reached are counted, not failed. A wrapped bundle
+//     whose ring holds no key frame is skipped: without a key frame no
+//     replayed window decodes, so there would be nothing to compare.
 //
 // Either way a session flagged unreproducible (solver costs perturbed
 // mid-run) is skipped, not diffed — the frames alone cannot reproduce
@@ -131,9 +133,11 @@ func Replay(b *Bundle) (*ReplayReport, error) {
 		}
 		return rep, nil
 	}
-	if !rep.Complete && len(b.Frames) == 0 {
+	if !rep.Complete && !holdsKeyFrame(b.Frames) {
+		// Every delta decodes against a reference the ring evicted:
+		// there is nothing to compare.
 		rep.Skipped = true
-		rep.SkipReason = "wrapped bundle carries no frames"
+		rep.SkipReason = "wrapped bundle holds no key frame"
 		return rep, nil
 	}
 
@@ -200,6 +204,16 @@ func Replay(b *Bundle) (*ReplayReport, error) {
 		})
 	}
 	return rep, nil
+}
+
+// holdsKeyFrame reports whether any recorded frame is a key frame.
+func holdsKeyFrame(frames []FrameRecord) bool {
+	for _, f := range frames {
+		if core.PacketKind(f.Kind) == core.KindKey {
+			return true
+		}
+	}
+	return false
 }
 
 // recordedFailures extracts the decode-failure script from the event

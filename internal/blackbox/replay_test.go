@@ -44,20 +44,18 @@ func replayFile(t *testing.T, path string) (*blackbox.Bundle, *blackbox.ReplayRe
 }
 
 // TestQualitySLOTripSealsReplayableBundle is the acceptance pin: a
-// chaos run whose burst loss burns the quality SLO budget seals a
-// bundle at the warn escalation, and replaying that bundle through the
+// chaos run under burst loss whose windows the decoder's own Bad
+// verdict flags burns the quality SLO budget, seals a bundle at the
+// warn escalation, and replaying that bundle through the
 // real receiver + solver stack reproduces every recorded window
 // bit-for-bit — same rung, residual norm, and EstPRDN.
 func TestQualitySLOTripSealsReplayableBundle(t *testing.T) {
 	dir := t.TempDir()
 	rep := runRecorded(t, chaos.Scenario{
-		Name:    "slo-trip",
-		Windows: 48,
-		Link:    link.Config{Burst: &link.BurstConfig{PGoodBad: 0.25, PBadGood: 0.25}},
-		// Tightened objective: the gap-rate margin the burst losses put
-		// on the PRDN estimate must register as SLO burn (see
-		// Scenario.QualityBadPRDN).
-		QualityBadPRDN: 3.2,
+		Name:      "slo-trip",
+		Windows:   48,
+		Link:      link.Config{Burst: &link.BurstConfig{PGoodBad: 0.25, PBadGood: 0.25}},
+		Transport: coordinator.TransportConfig{NACK: true},
 	}, dir)
 
 	var sloBundle string
@@ -146,15 +144,15 @@ func TestPanicBundleReplaysScriptedFailures(t *testing.T) {
 	}
 }
 
-// TestWrappedBundleReplaysSolverTier: a tiny frame ring forces
-// wraparound, so replay resumes mid-stream and holds the
-// solver-deterministic fields to account on rung-matched windows.
-func TestWrappedBundleReplaysSolverTier(t *testing.T) {
+// wrappedBundle records a clean session of the given length into a
+// frame ring of about 8 windows, seals it at the end and replays it.
+func wrappedBundle(t *testing.T, windows int) (*blackbox.Bundle, *blackbox.ReplayReport) {
+	t.Helper()
 	dir := t.TempDir()
-	sc := chaos.Scenario{Name: "wrapped", Windows: 48}
+	sc := chaos.Scenario{Name: "wrapped", Windows: windows}
 	sc.Record = &blackbox.Config{
 		Sink: blackbox.DirSink(dir),
-		// Room for ~12 windows of frames: the ring must wrap.
+		// Room for about 8 windows of frames: the ring must wrap.
 		FrameArenaBytes: 2 << 10,
 		FrameCap:        16,
 	}
@@ -162,14 +160,21 @@ func TestWrappedBundleReplaysSolverTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Bundles) == 0 {
-		rep.Recorder.SealNow(blackbox.TriggerManual, "wrap test") //csecg:errok checked below
-	}
+	rep.Recorder.SealNow(blackbox.TriggerManual, "wrap test") //csecg:errok checked below
 	if err := rep.Recorder.SealErr(); err != nil {
 		t.Fatal(err)
 	}
+	bundles := rep.Recorder.Bundles()
+	return replayFile(t, bundles[len(bundles)-1])
+}
 
-	b, rr := replayFile(t, rep.Recorder.Bundles()[0])
+// TestWrappedBundleReplaysSolverTier: a tiny frame ring forces
+// wraparound, so replay resumes mid-stream and holds the
+// solver-deterministic fields to account on rung-matched windows. The
+// session is long enough for the ring to keep the scheduled key frame
+// of window 64.
+func TestWrappedBundleReplaysSolverTier(t *testing.T) {
+	b, rr := wrappedBundle(t, 70)
 	if b.Header.Complete() {
 		t.Fatalf("frame ring was sized to wrap, header says complete: %+v", b.Header)
 	}
@@ -181,6 +186,22 @@ func TestWrappedBundleReplaysSolverTier(t *testing.T) {
 	}
 	if !rr.OK() {
 		t.Fatalf("solver fields diverged on replay: %+v", rr.Divergences)
+	}
+}
+
+// TestWrappedBundleWithoutKeyFrameSkipped: when the ring wrapped past
+// every key frame, no replayed window can decode, so replay refuses the
+// bundle with a reason instead of passing a diff that compared nothing.
+func TestWrappedBundleWithoutKeyFrameSkipped(t *testing.T) {
+	b, rr := wrappedBundle(t, 48)
+	if b.Header.Complete() {
+		t.Fatalf("frame ring was sized to wrap, header says complete: %+v", b.Header)
+	}
+	if !rr.Skipped || rr.Compared != 0 {
+		t.Fatalf("keyless wrapped bundle was not skipped: %+v", rr)
+	}
+	if !strings.Contains(rr.SkipReason, "key frame") {
+		t.Fatalf("skip reason %q does not name the missing key frame", rr.SkipReason)
 	}
 }
 

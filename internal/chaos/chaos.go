@@ -1,38 +1,42 @@
-// Package chaos is the survival-layer proving ground: it drives the
-// session loop (internal/session) through fault cocktails — bit-flip
-// corruption, Gilbert–Elliott burst loss, mote reboots, clock drift,
-// modeled CPU slowdown under burst arrival, and injected decode panics
-// — and reports whether the session survived on the layer's contract:
-// zero escaped panics, a bounded admission queue, bounded decode time,
-// and health back to decoding by session end.
+// Package chaos is the survival-layer proving ground. It drives the
+// session loop (internal/session) at the paper's operating point, with
+// the input RunStream gives it: record 100, channel 0, default
+// core.Params, 2 s windows. Fault cocktails — bit-flip corruption,
+// Gilbert–Elliott burst loss, mote reboots, clock drift, modeled CPU
+// slowdown under burst arrival, and injected decode panics — run on
+// top, and the report says whether the session survived on the
+// layer's contract: zero escaped panics, a bounded admission queue,
+// bounded decode time, and health back to decoding by session end.
 //
-// Every run is deterministic: the faults come from the seeded channel
-// model and the session's injectors, the clocks are modeled, and
-// nothing reads wall time or global randomness. Span trees, when
-// captured, are RunStream's: the same timeline, serialized decode core
-// and close step.
+// Every run is deterministic: the signal is the substitute database's
+// record, the faults come from the seeded channel model and the
+// session's injectors, the clocks are modeled, and nothing reads wall
+// time or global randomness. Span trees, when captured, are
+// RunStream's: the same timeline, serialized decode core and close
+// step.
 package chaos
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"csecg/internal/blackbox"
 	"csecg/internal/coordinator"
 	"csecg/internal/core"
+	"csecg/internal/ecg"
 	"csecg/internal/link"
 	"csecg/internal/monitor"
-	"csecg/internal/rng"
 	"csecg/internal/session"
 	"csecg/internal/telemetry"
 )
 
-// Scenario is one fault cocktail over a synthetic monitoring session.
-// The zero value (plus a Name) is a clean run.
+// Scenario is one fault cocktail over a monitoring session of record
+// 100. The zero value (plus a Name) is a clean run.
 type Scenario struct {
 	Name string
-	// Windows is the session length in window periods (default 96).
+	// Windows is the session length in 2 s window periods (default 96):
+	// the session streams that many windows of the record, and a fast
+	// mote clock reaches their end before the last period.
 	Windows int
 
 	// Link carries the channel faults of the data downlink: BitFlipProb,
@@ -50,7 +54,7 @@ type Scenario struct {
 	// decode panic injectors.
 	session.Faults
 
-	// Seed drives the channel model and the signal synthesizer.
+	// Seed drives the channel model.
 	Seed uint64
 
 	// Record, when non-nil, attaches a black-box flight recorder sized
@@ -60,19 +64,6 @@ type Scenario struct {
 	// costs mid-run (Slowdown > 1) are marked unreproducible so replay
 	// refuses to diff them instead of reporting false divergence.
 	Record *blackbox.Config
-
-	// QualityBadPRDN overrides the paper's 9 % good/bad boundary for the
-	// recorded quality SLO (0 = keep the decoder's Bad verdict) and is
-	// compared with the ground-truth-free PRDN estimate. On the
-	// synthetic N = 128 chaos signal that estimate under-reads about 5×
-	// (a clean short matrix estimates 3.84 % mean PRDN where the true
-	// figure is 19.57 %), so the decoder's Bad verdict almost never
-	// fires even though the signal reconstructs well outside the
-	// boundary. Scenarios proving the SLO→bundle trigger wiring
-	// therefore set an objective below the estimate's range, so that
-	// fault-induced erosion — the gap-rate margin on the estimate —
-	// registers as burn.
-	QualityBadPRDN float64
 
 	// Spans, when non-nil, captures each window's causal span tree on
 	// the session timeline, as for RunStream.
@@ -99,9 +90,9 @@ type Report struct {
 	session.Report
 	// QueueLimit is the admission-queue bound the scenario ran with.
 	QueueLimit int
-	// Bound is the window period the p99 decode time must stay within
-	// (a decode slower than its window's arrival cadence falls behind
-	// forever).
+	// Bound is the 2 s window period the p99 decode time must stay
+	// within (a decode slower than its window's arrival cadence falls
+	// behind forever).
 	Bound time.Duration
 	// EscapedPanics counts panics that crossed the receiver's
 	// containment into the harness — the contract requires zero; the
@@ -144,54 +135,32 @@ func Matrix(short bool) []Scenario {
 		windows = 36
 	}
 	burst := &link.BurstConfig{PGoodBad: 0.05, PBadGood: 0.5}
+	// Every row runs the control channel: the scheduled key frame comes
+	// every 64 windows (128 s), so without NACK and key requests one
+	// lost or corrupted frame darkens the stream for minutes.
+	nack := coordinator.TransportConfig{NACK: true}
 	return []Scenario{
-		{Name: "clean", Windows: windows},
+		{Name: "clean", Windows: windows, Transport: nack},
 		// ≥1e-4 BER: 8e-4 per byte ≈ 1e-4 per bit.
-		{Name: "bitflip", Windows: windows, Link: link.Config{BitFlipProb: 8e-4}},
-		{Name: "burst-loss", Windows: windows, Link: link.Config{Burst: burst}},
-		{Name: "reboot", Windows: windows, Faults: session.Faults{RebootAt: windows / 2}},
+		{Name: "bitflip", Windows: windows, Transport: nack, Link: link.Config{BitFlipProb: 8e-4}},
+		{Name: "burst-loss", Windows: windows, Transport: nack, Link: link.Config{Burst: burst}},
+		{Name: "reboot", Windows: windows, Transport: nack, Faults: session.Faults{RebootAt: windows / 2}},
 		{Name: "slowdown-burst", Windows: windows,
-			Transport: coordinator.TransportConfig{DecodesPerSlot: 4},
+			Transport: coordinator.TransportConfig{NACK: true, DecodesPerSlot: 4},
 			Faults:    session.Faults{Slowdown: 2, BurstArrival: 4}},
-		{Name: "panic-inject", Windows: windows, Faults: session.Faults{PanicEvery: 7}},
-		{Name: "clock-drift", Windows: windows, Link: link.Config{ClockDriftPPM: 30_000}},
+		{Name: "panic-inject", Windows: windows, Transport: nack, Faults: session.Faults{PanicEvery: 7}},
+		{Name: "clock-drift", Windows: windows, Transport: nack, Link: link.Config{ClockDriftPPM: 30_000}},
 		{Name: "kitchen-sink", Windows: windows,
 			Link:      link.Config{BitFlipProb: 4e-4, Burst: burst, ClockDriftPPM: 30_000},
-			Transport: coordinator.TransportConfig{DecodesPerSlot: 2},
+			Transport: coordinator.TransportConfig{NACK: true, DecodesPerSlot: 2},
 			Faults:    session.Faults{RebootAt: windows / 2, Slowdown: 2, BurstArrival: 2, PanicEvery: 11}},
 	}
 }
 
-// synthWindow renders a deterministic ECG-like window: baseline
-// wander, a sinus component, one QRS-like spike per second, and mild
-// sensor noise from the seeded generator.
-func synthWindow(w, n int, rg *rng.Xoshiro) []int16 {
-	win := make([]int16, n)
-	for i := range win {
-		t := float64(w*n + i)
-		v := 1000 + 120*math.Sin(2*math.Pi*t/600) + 40*math.Sin(2*math.Pi*t/37)
-		if i%core.FsMote == core.FsMote/3 {
-			v += 900 // R peak
-		}
-		v += 8 * rg.NormFloat64()
-		win[i] = int16(v)
-	}
-	return win
-}
-
 // sloFeed scores each decoded window against the recorded quality SLO.
-type sloFeed struct {
-	slo     *monitor.SLO
-	badPRDN float64
-}
+type sloFeed struct{ slo *monitor.SLO }
 
-func (f *sloFeed) OnWindow(w monitor.WindowStatus) {
-	bad := w.Bad
-	if f.badPRDN > 0 {
-		bad = w.EstPRDN > f.badPRDN
-	}
-	f.slo.Observe(w.TimelineNs, bad)
-}
+func (f *sloFeed) OnWindow(w monitor.WindowStatus) { f.slo.Observe(w.TimelineNs, w.Bad) }
 
 func (f *sloFeed) OnSlot(monitor.SlotStatus) {}
 
@@ -200,23 +169,25 @@ func (f *sloFeed) OnSlot(monitor.SlotStatus) {}
 // the scenario was survived badly — judge that with Report.Survived.
 func Run(sc Scenario) (*Report, error) {
 	sc = sc.withDefaults()
-	params := core.Params{Seed: 0x31, M: 64, N: 128, WaveletLevels: 3, KeyFrameInterval: 8}
-	window := time.Duration(float64(params.N) / core.FsMote * float64(time.Second))
+	rec, err := ecg.RecordByID("100")
+	if err != nil {
+		return nil, err
+	}
+	samples, err := rec.Channel256(float64(sc.Windows*core.WindowSeconds), 0)
+	if err != nil {
+		return nil, err
+	}
 	lcfg := sc.Link
 	lcfg.Seed = sc.Seed
-	rg := rng.New(sc.Seed ^ 0xEC6)
 	cfg := session.Config{
-		Params:    params,
-		Mode:      coordinator.VFP,
 		Link:      lcfg,
 		Transport: sc.Transport,
 		Spans:     sc.Spans,
 		Clock:     telemetry.NewManualClock(0),
 		Faults:    sc.Faults,
-		Slots:     sc.Windows,
-		Window:    func(w int) []int16 { return synthWindow(w, params.N, rg) },
+		Samples:   samples,
 	}
-	rep := &Report{Scenario: sc.Name, QueueLimit: sc.Transport.QueueLimit, Bound: window}
+	rep := &Report{Scenario: sc.Name, QueueLimit: sc.Transport.QueueLimit, Bound: core.WindowSeconds * time.Second}
 	if sc.Record != nil {
 		rcfg := *sc.Record
 		if rcfg.Session == "" {
@@ -226,7 +197,7 @@ func Run(sc Scenario) (*Report, error) {
 		slo := monitor.NewSLO(monitor.SLOConfig{Name: "quality"}, rcfg.Session, nil, nil)
 		monitor.WireRecorder(slo, rep.Recorder)
 		cfg.Recorder = rep.Recorder
-		cfg.Observer = &sloFeed{slo: slo, badPRDN: sc.QualityBadPRDN}
+		cfg.Observer = &sloFeed{slo: slo}
 	}
 
 	srep, err := func() (*session.Report, error) {

@@ -193,6 +193,70 @@ func TestMoteRebootResync(t *testing.T) {
 	}
 }
 
+// TestLostRebootKeyFrameStartsNewBoot: the channel drops a rebooted
+// mote's seq-0 key frame. The new boot's next frames sit behind the
+// release point, but their content differs from what was released
+// under their Seq, so the receiver resynchronizes on them instead of
+// discarding them as duplicates; its NACK then recovers the key frame
+// and every window of the new boot decodes. Were they duplicates, the
+// boot's frames from the old release point on would decode against
+// the old boot's reference.
+func TestLostRebootKeyFrameStartsNewBoot(t *testing.T) {
+	enc, rx := transportRig(t, 64, TransportConfig{NACK: true})
+	// Each window differs, so a new boot's frame never matches the old
+	// boot's frame under the same Seq.
+	encode := func(from, n int) []*core.Packet {
+		var pkts []*core.Packet
+		win := make([]int16, 128)
+		for w := from; w < from+n; w++ {
+			for i := range win {
+				win[i] = int16(1024 + (i*(w+3))%97)
+			}
+			p, err := enc.EncodeWindow(win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts = append(pkts, p.Clone())
+		}
+		return pkts
+	}
+	decoded := 0
+	for _, p := range encode(0, 20) {
+		decoded += len(push(t, rx, p))
+		rx.EndSlot()
+	}
+	enc.Reset() // mote brownout: sequence space restarts
+	boot := encode(20, 24)
+	for i, p := range boot {
+		if i > 0 { // boot[0], the key frame, is lost on the downlink
+			decoded += len(push(t, rx, p))
+		}
+		ctrl, late := rx.EndSlot()
+		decoded += len(late)
+		for _, c := range ctrl {
+			if c.Kind != core.KindNack {
+				continue
+			}
+			first, count, err := core.NackRange(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The rebooted mote's ring holds only what it has sent.
+			for s := first; s < first+uint32(count) && s <= uint32(i); s++ {
+				decoded += len(push(t, rx, boot[s]))
+			}
+		}
+	}
+	decoded += len(rx.Close())
+	st := rx.Stats()
+	if st.Reboots != 1 || st.Duplicates != 0 {
+		t.Fatalf("Reboots = %d and Duplicates = %d, want 1 and 0: %+v", st.Reboots, st.Duplicates, st)
+	}
+	if decoded != 44 || st.DecodeFailures != 0 {
+		t.Fatalf("decoded %d of 44 windows with %d decode failures: %+v", decoded, st.DecodeFailures, st)
+	}
+}
+
 // TestDegradationLadderFollowsCosts models CPU slowdowns: SetCosts puts
 // the decoder on the first rung whose iteration cap fits the slowed
 // budget — half the budget at 2×, a quarter at 4×, the quarter floor

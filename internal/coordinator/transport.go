@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"fmt"
+	"hash/crc32"
 
 	"csecg/internal/core"
 	"csecg/internal/metrics"
@@ -41,6 +42,23 @@ func (h Health) String() string {
 // recentSlots is the sliding window (in 2-second slots) of the
 // receiver's loss-rate observable feeding the quality estimator.
 const recentSlots = 32
+
+// releasedRing is how many released frames the receiver remembers to
+// tell a duplicate from a rebooted mote's frame under the same Seq.
+const releasedRing = 64
+
+// releasedFrame is one remembered release: its sequence number and a
+// checksum of its content (kind, symbol count and payload CRC-32).
+type releasedFrame struct {
+	seq uint32
+	sum uint64
+	set bool
+}
+
+// frameSum checksums a packet's content for releasedFrame.
+func frameSum(pkt *core.Packet) uint64 {
+	return uint64(crc32.ChecksumIEEE(pkt.Payload)) | uint64(pkt.Kind)<<32 | uint64(pkt.NumSymbols)<<40
+}
 
 // TransportConfig tunes the coordinator's fault-tolerant receive path.
 // The zero value enables reorder buffering and duplicate suppression
@@ -373,6 +391,10 @@ type Receiver struct {
 	recent    [recentSlots]int
 	recentIdx int
 
+	// released remembers the last releasedRing frames released in the
+	// current boot, indexed by Seq modulo the ring size.
+	released [releasedRing]releasedFrame
+
 	// rec, when non-nil, is the black-box flight recorder tapping the
 	// receive path; ordinal counts decode attempts (the alignment key
 	// between bundle window records and scripted replay failures).
@@ -593,10 +615,13 @@ func (r *Receiver) Push(pkt *core.Packet) ([]Decoded, error) {
 	}
 	// A key frame restarting the sequence space far behind the release
 	// point is a mote reboot, not a stale duplicate: resynchronize the
-	// epoch instead of silently discarding the new boot's stream.
-	if pkt.Kind == core.KindKey && pkt.Seq == 0 && r.anySeen &&
-		r.expected > uint32(r.cfg.ReorderWindow) {
-		r.rebootResync()
+	// epoch instead of silently discarding the new boot's stream. When
+	// that key frame is lost, the new boot shows as a frame behind the
+	// release point whose content differs from what was released under
+	// its Seq.
+	if r.anySeen && (pkt.Kind == core.KindKey && pkt.Seq == 0 && r.expected > uint32(r.cfg.ReorderWindow) ||
+		r.rebooted(pkt)) {
+		r.rebootResync(pkt.Seq)
 	}
 	if pkt.Seq > r.maxSeen || !r.anySeen {
 		r.maxSeen = pkt.Seq
@@ -623,13 +648,27 @@ func (r *Receiver) Push(pkt *core.Packet) ([]Decoded, error) {
 	return r.drain(), nil
 }
 
-// rebootResync realigns the receiver to a rebooted mote: the windows
-// the old boot still owed (missing, buffered or queued) are abandoned,
-// the buffers cleared, and the sequence space restarted with the
-// current slot as the new epoch origin. The incoming key frame then
-// resynchronizes the decoder's measurement state as any key frame does.
-func (r *Receiver) rebootResync() {
-	lost := r.slot - (r.epoch + int(r.expected)) + len(r.queue)
+// rebooted reports whether pkt, behind the release point, differs from
+// the frame released under its Seq: a new boot's frame, not a
+// duplicate.
+func (r *Receiver) rebooted(pkt *core.Packet) bool {
+	if pkt.Seq >= r.expected {
+		return false
+	}
+	f := r.released[pkt.Seq%releasedRing]
+	return f.set && f.seq == pkt.Seq && f.sum != frameSum(pkt)
+}
+
+// rebootResync realigns the receiver to a rebooted mote whose frame seq
+// just arrived: the windows the old boot still owed (missing, buffered
+// or queued) are abandoned, the buffers cleared, and the sequence space
+// restarted with the new boot's seq 0 aligned seq slots before the
+// current one. The new boot's key frame — this frame, or one the gap
+// machinery recovers — then resynchronizes the decoder's measurement
+// state as any key frame does.
+func (r *Receiver) rebootResync(seq uint32) {
+	epoch := r.slot - int(seq)
+	lost := epoch - (r.epoch + int(r.expected)) + len(r.queue)
 	if lost > 0 {
 		r.stats.Abandoned += lost
 		if r.met != nil {
@@ -648,9 +687,10 @@ func (r *Receiver) rebootResync() {
 		}
 		r.gap = nil
 	}
-	r.epoch = r.slot
+	r.epoch = epoch
 	r.expected = 0
 	r.maxSeen = 0
+	r.released = [releasedRing]releasedFrame{}
 	r.stats.Reboots++
 	if r.met != nil {
 		r.met.reboots.Inc()
@@ -667,6 +707,7 @@ func (r *Receiver) drain() []Decoded {
 			break
 		}
 		delete(r.buf, r.expected)
+		r.released[r.expected%releasedRing] = releasedFrame{seq: r.expected, sum: frameSum(pkt), set: true}
 		r.expected++
 		r.admit(pkt)
 	}

@@ -2,8 +2,8 @@
 // encoded by the instrumented mote, carried over the modeled Bluetooth
 // link, reassembled by the coordinator's receiver and decoded on one
 // serialized decode core, on a single modeled timeline. csecg.RunStream
-// feeds it a database record; the chaos harness feeds it a synthetic
-// signal plus Faults.
+// and the chaos harness both feed it a database record at the paper's
+// operating point; the chaos harness adds Faults.
 package session
 
 import (
@@ -62,13 +62,12 @@ type Config struct {
 	Recorder  *blackbox.Recorder
 	Faults
 
-	// Slots is the session length in window periods.
-	Slots int
-	// Window returns the samples of a window acquired in the given slot
-	// (called twice for a slot whose mote clock drift slipped in an
-	// extra window), or nil when the signal is exhausted, which ends the
-	// session early.
-	Window func(slot int) []int16
+	// Samples is the signal the mote acquires, played out window by
+	// window: the session runs len(Samples)/N window periods. A fast
+	// mote clock encodes an extra window in a slot whose drift crossed
+	// a window period, so it reaches the end of Samples sooner, which
+	// ends the session early.
+	Samples []int16
 }
 
 // Report aggregates a session.
@@ -463,15 +462,17 @@ func Run(cfg Config) (*Report, error) {
 		})
 	}
 
-	// encode acquires, encodes and transmits one window of slot w; its
-	// frames wait in pending for the slot's delivery batch. It reports
-	// false when the signal is exhausted.
+	// encode acquires, encodes and transmits the next window of Samples
+	// in slot w; its frames wait in pending for the slot's delivery
+	// batch. It reports false when the signal is exhausted.
 	var pending [][]byte
+	next := 0
 	encode := func(w int) (bool, error) {
-		samples := cfg.Window(w)
-		if samples == nil {
+		if next+n > len(cfg.Samples) {
 			return false, nil
 		}
+		samples := cfg.Samples[next : next+n]
+		next += n
 		mr, err := m.EncodeWindow(samples)
 		if err != nil {
 			return false, fmt.Errorf("session: encoding window %d: %w", rep.Windows, err)
@@ -523,12 +524,13 @@ func Run(cfg Config) (*Report, error) {
 	var skewUsed time.Duration
 	batched := 0 // windows encoded since the last receiver slot
 	slot := 0
-	for w := 0; w < cfg.Slots; w++ {
+	slots := len(cfg.Samples) / n
+	for w := 0; w < slots; w++ {
 		if cfg.Slowdown > 1 {
 			switch w {
-			case cfg.Slots / 3:
+			case slots / 3:
 				dec.SetCosts(slow)
-			case 2 * cfg.Slots / 3:
+			case 2 * slots / 3:
 				dec.SetCosts(coordinator.DefaultCosts())
 			}
 		}
@@ -552,7 +554,7 @@ func Run(cfg Config) (*Report, error) {
 				}
 			}
 		}
-		if batched > 0 && (!more || (w+1)%burst == 0 || w == cfg.Slots-1) {
+		if batched > 0 && (!more || (w+1)%burst == 0 || w == slots-1) {
 			// One receiver slot per delivery batch: the batch's frames
 			// arrive together after its last transmission.
 			frames := pending

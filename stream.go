@@ -28,8 +28,10 @@ type StreamConfig struct {
 	// faults (DropProb, BitFlipProb, Burst, ClockDriftPPM). A nonzero
 	// ClockDriftPPM makes the mote's clock run fast: once the
 	// accumulated skew crosses a window period, the mote encodes an
-	// extra window within that slot, so the record is consumed sooner
-	// (the report's LinkStats.DriftSkew carries the skew).
+	// extra window within that slot, so it reaches the end of the
+	// record before the last slot and the session ends early (the
+	// report's LinkStats.DriftSkew carries the skew). The chaos
+	// matrix's clock-drift scenarios run the same rule.
 	Link LinkConfig
 	// Transport configures the coordinator's fault-tolerant receive
 	// path. The zero value reproduces the paper's baseline: losses are
@@ -93,13 +95,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.Params.N
-	if n == 0 {
-		n = WindowSize
-	}
-	// The record plays out window by window; a drifting mote clock
-	// reaches its end before the last slot.
-	next := 0
 	return session.Run(session.Config{
 		Params:    cfg.Params,
 		Mode:      cfg.Mode,
@@ -110,13 +105,6 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 		Clock:     cfg.Clock,
 		Observer:  cfg.Observer,
 		Recorder:  cfg.Recorder,
-		Slots:     len(samples) / n,
-		Window: func(int) []int16 {
-			if next+n > len(samples) {
-				return nil
-			}
-			next += n
-			return samples[next-n : next]
-		},
+		Samples:   samples,
 	})
 }
